@@ -66,6 +66,7 @@ from .rng import derive_seed, make_rng
 from .smpc import (
     DiscreteControlProblem,
     GenerationSpec,
+    LinearClosedLoop,
     MPCProblem,
     NoiseSpec,
     closed_loop_fixed_point,

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidDensityError, SingularNormalMatrixError
+from .errors import EvaluationError, InvalidDensityError
 from .ifs import ContinuousIFS, DiscreteIFS, evaluate_probs
 from .rng import derive_seed, make_rng
 from .smpc import MPCProblem
@@ -39,8 +39,6 @@ __all__ = [
     "check_linear_sufficient_condition",
     "check_stopping_time",
 ]
-
-_COND_LIMIT = 1e12
 
 # Scale of the short-range perturbation pairs relative to the box diameter.
 _PERTURBATION_SCALE = 1e-4
@@ -346,12 +344,10 @@ def check_linear_sufficient_condition(problem: MPCProblem) -> ConditionReport:
     contracts for every noise realization when that sum is below 1.  The
     worst ||A + Xi|| over the entrywise noise box is attained at a vertex
     because the norm is convex in the noise entries, making the verdict
-    certified rather than sampled.
+    certified rather than sampled.  A singular R + B'QB raises
+    ``SingularNormalMatrixError`` from the problem's closed-loop kernel.
     """
-    mm = problem.normal_matrix
-    if np.linalg.cond(mm) > _COND_LIMIT:
-        raise SingularNormalMatrixError(
-            f"normal matrix R + B'QB is singular (condition number > {_COND_LIMIT:.0e})")
+    mm = problem.closed_loop.normal_matrix
     gain = problem.b @ np.linalg.solve(mm, problem.b.T @ (problem.q @ problem.a))
     feedback_norm = operator_norm(gain)
     worst_dynamics = -np.inf

@@ -10,6 +10,11 @@ Because the noise is zero-mean, the minimizer solves the normal equations
 A + mean of the drawn perturbations.  Adapters package the closed loop as
 a continuous IFS (parameter = all noise draws of one step) and a finite
 control set with the regularized mixed strategy as a discrete IFS.
+
+``R + B'QB`` does not depend on the state, so each problem carries one
+``LinearClosedLoop`` kernel that checks and Cholesky-factors it once; the
+controllers, the closed-loop adapters and the fixed point all solve
+through that factor.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .errors import SingularNormalMatrixError
 from .ifs import ContinuousIFS, DiscreteIFS, as_state
@@ -29,6 +36,7 @@ from .rng import make_rng
 __all__ = [
     "NoiseSpec",
     "MPCProblem",
+    "LinearClosedLoop",
     "GenerationSpec",
     "DiscreteControlProblem",
     "generate_problem",
@@ -79,6 +87,15 @@ class NoiseSpec:
     def n_entries(self) -> int:
         return len(self.pattern)
 
+    @cached_property
+    def index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the pattern as index arrays."""
+        rows = np.array([r for r, _ in self.pattern], dtype=np.intp)
+        cols = np.array([c for _, c in self.pattern], dtype=np.intp)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        return rows, cols
+
     def check_dims(self, d: int) -> None:
         for r, c in self.pattern:
             if r >= d or c >= d:
@@ -93,8 +110,7 @@ class NoiseSpec:
         if entries.size != self.n_entries:
             raise ValueError(f"expected {self.n_entries} noise entries, got {entries.size}")
         xi = np.zeros((d, d))
-        for (r, c), v in zip(self.pattern, entries):
-            xi[r, c] = v
+        xi[self.index] = entries
         return xi
 
     def sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
@@ -174,6 +190,15 @@ class MPCProblem:
     @property
     def normal_matrix(self) -> np.ndarray:
         return self.r + self.b.T @ self.q @ self.b
+
+    @cached_property
+    def closed_loop(self) -> "LinearClosedLoop":
+        """The factor-once kernel, built on first use and kept thereafter.
+
+        Raises ``SingularNormalMatrixError`` (on every access) when R + B'QB
+        is singular.
+        """
+        return LinearClosedLoop(self)
 
     def to_dict(self) -> dict:
         return {
@@ -327,23 +352,56 @@ def generate_problem(spec: GenerationSpec, seed: int | None = None) -> MPCProble
     return MPCProblem(a=a, b=b, q=q, r=r, z=z, noise=spec.noise)
 
 
-def _solve_normal(problem: MPCProblem, rhs: np.ndarray) -> np.ndarray:
-    mm = problem.normal_matrix
-    if not np.all(np.isfinite(mm)) or np.linalg.cond(mm) > _COND_LIMIT:
-        raise SingularNormalMatrixError(
-            f"normal matrix R + B'QB is singular (condition number > {_COND_LIMIT:.0e})")
-    try:
-        factor = cho_factor(mm, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond guard fires first
-        raise SingularNormalMatrixError(str(exc)) from exc
-    return cho_solve(factor, rhs, check_finite=False)
+class LinearClosedLoop:
+    """Factor-once kernel of the loop x' = (A + Xi) x + B u.
+
+    Construction checks the condition number of R + B'QB and
+    Cholesky-factors it, once per problem (see ``MPCProblem.closed_loop``).
+    The controls take validated states and perform the same floating
+    point operations, in the same order, as forming and factoring the
+    normal equations afresh at every step, so their results are
+    bit-identical to that.  The plant update needs no factor and stays in
+    ``_apply_plant``.
+    """
+
+    def __init__(self, problem: MPCProblem):
+        mm = problem.normal_matrix
+        if not np.all(np.isfinite(mm)) or np.linalg.cond(mm) > _COND_LIMIT:
+            raise SingularNormalMatrixError(
+                f"normal matrix R + B'QB is singular (condition number > {_COND_LIMIT:.0e})")
+        try:
+            self._factor, self._lower = cho_factor(mm, check_finite=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond guard fires first
+            raise SingularNormalMatrixError(str(exc)) from exc
+        self.normal_matrix = mm
+        self._a, self._q, self._z = problem.a, problem.q, problem.z
+        self._neg_bt = -problem.b.T
+        self._noise, self._d = problem.noise, problem.d
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(R + B'QB)^-1 rhs through the cached factor (LAPACK potrs)."""
+        out, info = dpotrs(self._factor, rhs, lower=self._lower)
+        if info != 0:  # pragma: no cover - arguments are validated upstream
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return out
+
+    def _control(self, a_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.solve(self._neg_bt @ (self._q @ (a_hat @ x - self._z)))
+
+    def exact_control(self, x: np.ndarray) -> np.ndarray:
+        """Minimizer of the expected one-step objective at state x."""
+        return self._control(self._a, x)
+
+    def saa_control(self, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Sample-average control for a (J, k) block of noise draws."""
+        a_bar = self._a + self._noise.as_matrix(draws.mean(axis=0), self._d)
+        return self._control(a_bar, x)
 
 
 def exact_control(problem: MPCProblem, x) -> np.ndarray:
     """Minimizer of the expected one-step objective at state x."""
     x = as_state(x, problem.d)
-    rhs = -problem.b.T @ (problem.q @ (problem.a @ x - problem.z))
-    return _solve_normal(problem, rhs)
+    return problem.closed_loop.exact_control(x)
 
 
 def saa_control_from_draws(problem: MPCProblem, x, saa_entries) -> np.ndarray:
@@ -353,9 +411,7 @@ def saa_control_from_draws(problem: MPCProblem, x, saa_entries) -> np.ndarray:
     if entries.shape[1] != problem.noise.n_entries:
         raise ValueError(
             f"expected draws with {problem.noise.n_entries} entries per row")
-    a_bar = problem.a + problem.noise.as_matrix(entries.mean(axis=0), problem.d)
-    rhs = -problem.b.T @ (problem.q @ (a_bar @ x - problem.z))
-    return _solve_normal(problem, rhs)
+    return problem.closed_loop.saa_control(x, entries)
 
 
 def saa_control(problem: MPCProblem, x, j_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -397,7 +453,7 @@ def expected_cost(problem: MPCProblem, x, u) -> float:
 
 def closed_loop_fixed_point(problem: MPCProblem) -> np.ndarray:
     """Fixed point of the noise-free exact-control closed loop."""
-    k_gain = _solve_normal(problem, problem.b.T @ problem.q)
+    k_gain = problem.closed_loop.solve(problem.b.T @ problem.q)
     m_cl = problem.a - problem.b @ (k_gain @ problem.a)
     lhs = np.eye(problem.d) - m_cl
     if np.linalg.cond(lhs) > _COND_LIMIT:
@@ -408,8 +464,9 @@ def closed_loop_fixed_point(problem: MPCProblem) -> np.ndarray:
 def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
     """Package the SAA-controlled loop as a continuous IFS.
 
-    The parameter of one step bundles all of its randomness: J noise
-    draws feeding the sample-average controller plus the plant draw.
+    The parameter of one step bundles all of its randomness in one
+    (J + 1, k) block of noise draws: the first J rows feed the
+    sample-average controller and the last row is the plant draw.
     Stepping the adapter is draw-for-draw identical to calling
     ``saa_control`` followed by ``plant_step`` with the same generator.
     """
@@ -417,13 +474,11 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
         raise ValueError("j_samples must be >= 1")
 
     def sampler(x, rng):
-        return (problem.noise.sample_entries(rng, j_samples),
-                problem.noise.sample_entries(rng))
+        return problem.noise.sample_entries(rng, j_samples + 1)
 
     def apply(t, x):
-        saa_entries, plant_entries = t
-        u = saa_control_from_draws(problem, x, saa_entries)
-        return _apply_plant(problem, as_state(x, problem.d), u, plant_entries)
+        x = as_state(x, problem.d)
+        return _apply_plant(problem, x, problem.closed_loop.saa_control(x, t[:-1]), t[-1])
 
     return ContinuousIFS(map=apply, sampler=sampler)
 
@@ -438,9 +493,11 @@ def extreme_noise_closed_loop_ifs(problem: MPCProblem) -> DiscreteIFS:
     extremes = problem.noise.extreme_entries()
 
     def make_map(entries):
+        a_vertex = problem.a + problem.noise.as_matrix(entries, problem.d)
+
         def apply(x):
             x = as_state(x, problem.d)
-            return _apply_plant(problem, x, exact_control(problem, x), entries)
+            return a_vertex @ x + problem.b @ problem.closed_loop.exact_control(x)
         return apply
 
     n = len(extremes)

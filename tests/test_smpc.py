@@ -7,6 +7,7 @@ from ergodic_smpc import (
     MPCProblem,
     NoiseSpec,
     SingularNormalMatrixError,
+    check_linear_sufficient_condition,
     closed_loop_fixed_point,
     discrete_smpc_as_ifs,
     exact_control,
@@ -85,6 +86,8 @@ def test_noise_spec_round_trip_and_extremes():
     assert len(extremes) == 4
     zero = NoiseSpec(pattern=((0, 0),), bound=0.0)
     assert len(zero.extreme_entries()) == 1
+    xi = spec.as_matrix([0.25, -0.5], 3)
+    assert xi[0, 1] == 0.25 and xi[2, 2] == -0.5 and np.count_nonzero(xi) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +232,43 @@ def test_closed_loop_adapter_matches_manual_loop(four_state_problem):
 
 
 def test_closed_loop_long_run_bounded(four_state_problem):
-    from ergodic_smpc import check_linear_sufficient_condition
-
     assert check_linear_sufficient_condition(four_state_problem).verdict == "pass"
     traj = simulate(smpc_closed_loop_ifs(four_state_problem, 20),
                     np.zeros(4), 10_000, seed=1)
     assert np.abs(traj.states).max() < 10.0
+
+
+def test_kernel_factors_normal_matrix_once(monkeypatch):
+    from ergodic_smpc import experiment, smpc
+
+    calls = []
+    original = smpc.cho_factor
+
+    def counting_cho_factor(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(smpc, "cho_factor", counting_cho_factor)
+    problem = generate_problem(GenerationSpec.default(), seed=3)
+    x_star = closed_loop_fixed_point(problem)
+    simulate(smpc_closed_loop_ifs(problem, 20), x_star, 200, seed=0)
+    experiment.check_problem(problem, seed=0, n_points=16, n_pairs=20)
+    assert len(calls) == 1
+
+
+def test_singular_normal_matrix_raises_at_every_entry_point():
+    problem = MPCProblem(a=np.eye(2) * 0.5, b=np.zeros((2, 2)), q=np.eye(2),
+                         r=np.diag([1e-13, 1.0]), z=[0.0, 0.0],
+                         noise=NoiseSpec(pattern=((0, 0),), bound=0.01))
+    x = [1.0, 1.0]
+    with pytest.raises(SingularNormalMatrixError):
+        exact_control(problem, x)
+    with pytest.raises(SingularNormalMatrixError):
+        saa_control_from_draws(problem, x, np.zeros((3, 1)))
+    with pytest.raises(SingularNormalMatrixError):
+        simulate(smpc_closed_loop_ifs(problem, 3), x, 1, seed=0)
+    with pytest.raises(SingularNormalMatrixError):
+        check_linear_sufficient_condition(problem)
 
 
 def test_closed_loop_fixed_point_scalar(scalar_tracking_problem):
