@@ -14,7 +14,8 @@ control set with the regularized mixed strategy as a discrete IFS.
 ``R + B'QB`` does not depend on the state, so each problem carries one
 ``LinearClosedLoop`` kernel that checks and Cholesky-factors it once; the
 controllers, the closed-loop adapters and the fixed point all solve
-through that factor.
+through that factor.  The kernel also runs whole SAA trajectories with
+the noise drawn in blocks of steps (``LinearClosedLoop.saa_path``).
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _SYM_TOL = 1e-9
+# Steps per noise block of ``LinearClosedLoop.saa_path``: one block holds
+# ~1.6 MB of draws at J = 100 with two noise entries.
+_SAA_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -375,7 +379,7 @@ class LinearClosedLoop:
             raise SingularNormalMatrixError(str(exc)) from exc
         self.normal_matrix = mm
         self._a, self._q, self._z = problem.a, problem.q, problem.z
-        self._neg_bt = -problem.b.T
+        self._b, self._neg_bt = problem.b, -problem.b.T
         self._noise, self._d = problem.noise, problem.d
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -396,6 +400,53 @@ class LinearClosedLoop:
         """Sample-average control for a (J, k) block of noise draws."""
         a_bar = self._a + self._noise.as_matrix(draws.mean(axis=0), self._d)
         return self._control(a_bar, x)
+
+    def _perturbed(self, entries: np.ndarray) -> np.ndarray:
+        """A + Xi for each row of a (c, k) entry block, as one (c, d, d) array."""
+        out = np.zeros((entries.shape[0], self._d, self._d))
+        out[(slice(None),) + self._noise.index] = entries
+        out += self._a
+        return out
+
+    def saa_path(self, x0, n_steps: int, j_samples: int,
+                 rng: np.random.Generator) -> np.ndarray:
+        """States (n_steps + 1, d) of the SAA loop from x0.
+
+        Each step's (J + 1, k) noise draws are taken in blocks of
+        ``_SAA_BLOCK`` steps from ``rng``, which is the same draw sequence,
+        and the per-step arithmetic is that of ``saa_control`` followed by
+        the plant update, so the states are bit-identical to stepping
+        ``smpc_closed_loop_ifs`` with the same generator.  Once a block
+        holds a non-finite state the run stops; the rows after that block
+        are NaN.
+        """
+        if j_samples < 1:
+            raise ValueError("j_samples must be >= 1")
+        x = as_state(x0, self._d)
+        states = np.empty((n_steps + 1, self._d))
+        states[0] = x
+        k = self._noise.n_entries
+        factor, lower = self._factor, self._lower
+        neg_bt, q, z, b = self._neg_bt, self._q, self._z, self._b
+        # Past a blow-up the remaining steps of its block only propagate
+        # inf and NaN; the caller reports the first bad state.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n_steps, _SAA_BLOCK):
+                c = min(_SAA_BLOCK, n_steps - start)
+                t = self._noise.sample_entries(rng, c * (j_samples + 1))
+                t = t.reshape(c, j_samples + 1, k)
+                a_bar = self._perturbed(t[:, :-1].mean(axis=1))
+                a_plant = self._perturbed(t[:, -1])
+                for i in range(c):
+                    # ``solve`` inlined: the factor and the right-hand
+                    # side's shape are fixed, so potrs's info is always 0.
+                    u = dpotrs(factor, neg_bt @ (q @ (a_bar[i] @ x - z)), lower=lower)[0]
+                    x = a_plant[i] @ x + b @ u
+                    states[start + i + 1] = x
+                if not np.isfinite(states[start + 1:start + c + 1]).all():
+                    states[start + c + 1:] = np.nan
+                    break
+        return states
 
 
 def exact_control(problem: MPCProblem, x) -> np.ndarray:
@@ -469,6 +520,8 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
     sample-average controller and the last row is the plant draw.
     Stepping the adapter is draw-for-draw identical to calling
     ``saa_control`` followed by ``plant_step`` with the same generator.
+    Its ``advance`` runs whole paths through ``LinearClosedLoop.saa_path``,
+    which gives the same states as stepping.
     """
     if j_samples < 1:
         raise ValueError("j_samples must be >= 1")
@@ -480,7 +533,10 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
         x = as_state(x, problem.d)
         return _apply_plant(problem, x, problem.closed_loop.saa_control(x, t[:-1]), t[-1])
 
-    return ContinuousIFS(map=apply, sampler=sampler)
+    def advance(x, n_steps, rng):
+        return problem.closed_loop.saa_path(x, n_steps, j_samples, rng)
+
+    return ContinuousIFS(map=apply, sampler=sampler, advance=advance)
 
 
 def extreme_noise_closed_loop_ifs(problem: MPCProblem) -> DiscreteIFS:

@@ -11,6 +11,9 @@ from pathlib import Path
 from ergodic_smpc.cli import main
 
 SMOKE_SEED_7_DIGEST = "02e8dfe77b47a673ca7cc8d6db2b69b46e804ba21165423bb669969f29632236"
+# One trial at the default 10 000 steps: the SAA noise is drawn in blocks
+# of 1024 steps, which the 1000-step smoke run never crosses.
+TRIAL_SEED_7_DIGEST = "295ee04da07f374c80147e1055ce408b21cba7b55f5a0b27aff801a41175f89d"
 
 
 def tree_digest(root) -> str:
@@ -29,3 +32,10 @@ def test_smoke_run_matches_golden_digest(tmp_path, capsys):
     assert main(["reproduce-paper", "--smoke", "--seed", "7", "--out", str(out)]) == 0
     capsys.readouterr()
     assert tree_digest(out) == SMOKE_SEED_7_DIGEST
+
+
+def test_default_length_trial_matches_golden_digest(tmp_path, capsys):
+    out = tmp_path / "trial"
+    assert main(["reproduce-paper", "--trials", "1", "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert tree_digest(out) == TRIAL_SEED_7_DIGEST

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ergodic_smpc import (
     InvalidProbabilityError,
     NumericalBlowupError,
     ParameterDomainError,
+    Trajectory,
     as_state,
     read_trajectory_csv,
     run_ensemble,
@@ -15,7 +18,7 @@ from ergodic_smpc import (
     step_discrete,
     write_trajectory_csv,
 )
-from ergodic_smpc.ifs import evaluate_probs
+from ergodic_smpc.ifs import _CSV_BLOCK, evaluate_probs
 from ergodic_smpc.rng import make_rng
 
 
@@ -248,3 +251,63 @@ def test_trajectory_csv_continuous_choice_blank(tmp_path):
     back = read_trajectory_csv(path)
     assert back.selections is None
     assert np.array_equal(back.states, traj.states)
+
+
+def _reference_trajectory_csv(traj, path):
+    """The row-by-row csv.writer formatting the streamed writer must match."""
+    d = traj.dim
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k"] + [f"x{j}" for j in range(d)] + ["choice"])
+        for k in range(traj.states.shape[0]):
+            row = [str(k)] + [format(v, ".17g") for v in traj.states[k]]
+            choice = ""
+            if k > 0 and traj.selections is not None:
+                sel = traj.selections[k - 1]
+                if isinstance(sel, (int, np.integer)):
+                    choice = str(int(sel))
+                elif isinstance(sel, (float, np.floating)):
+                    choice = format(float(sel), ".17g")
+            writer.writerow(row + [choice])
+
+
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 2 * _CSV_BLOCK + 5  # crosses two block boundaries
+    states = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    states[:4] = [[-0.0, 5e-324, 1e308], [-1e308, -5e-324, 0.0],
+                  [0.1, 1 / 3, -2.5], [1e16, 123456789.0, 1e-5]]
+    mixed = [3, np.int64(-2), True, 0.1, np.float64(1 / 3), np.float32(0.5), -0.0,
+             None, "label", (1, 2), np.array([1.0, 2.0]), np.array(4)]
+    selections = [mixed[k % len(mixed)] for k in range(n - 1)]
+    cases = [Trajectory(states=states, selections=selections),
+             Trajectory(states=states, selections=None),
+             Trajectory(states=states[:1, :1], selections=[]),
+             Trajectory(states=states[:_CSV_BLOCK, :1],
+                        selections=list(range(_CSV_BLOCK - 1)))]
+    for i, traj in enumerate(cases):
+        ours, ref = tmp_path / f"ours{i}.csv", tmp_path / f"ref{i}.csv"
+        write_trajectory_csv(traj, ours)
+        _reference_trajectory_csv(traj, ref)
+        assert ours.read_bytes() == ref.read_bytes(), i
+
+
+def test_simulate_checks_advance_rows():
+    def advance(x, n_steps, rng):
+        states = np.tile(x, (n_steps + 1, 1))
+        if x[0] == 1.0:
+            states[5:] = np.nan  # step 4 produces row 5
+        return states
+
+    ifs = ContinuousIFS(map=lambda t, x: x, sampler=lambda x, rng: 0.0, advance=advance)
+    assert np.array_equal(simulate(ifs, [1.0], 3, seed=0).states, np.ones((4, 1)))
+    with pytest.raises(NumericalBlowupError, match=r"^step 4: map produced non-finite"):
+        simulate(ifs, [1.0], 10, seed=0)
+    with pytest.raises(NumericalBlowupError, match="^particle 1, step 4: "):
+        run_ensemble(ifs, [np.zeros(1), np.ones(1)], 10, seed=0)
+    with pytest.raises(NumericalBlowupError, match="^step 0: state norm"):
+        simulate(ifs, [2.0], 3, seed=0, divergence_bound=1.5)
+    short = ContinuousIFS(map=lambda t, x: x, sampler=lambda x, rng: 0.0,
+                          advance=lambda x, n, rng: np.tile(x, (n, 1)))
+    with pytest.raises(ValueError, match="advance returned shape"):
+        simulate(short, [1.0], 3, seed=0)

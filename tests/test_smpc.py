@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ergodic_smpc import (
     GenerationSpec,
     MPCProblem,
     NoiseSpec,
+    NumericalBlowupError,
     SingularNormalMatrixError,
     check_linear_sufficient_condition,
     closed_loop_fixed_point,
@@ -18,14 +21,17 @@ from ergodic_smpc import (
     plant_step,
     project_simplex,
     projected_gradient,
+    run_ensemble,
     saa_control,
     saa_control_from_draws,
     simulate,
     smpc_closed_loop_ifs,
+    step_continuous,
     step_discrete,
 )
 from ergodic_smpc.ifs import evaluate_probs
 from ergodic_smpc.rng import make_rng
+from ergodic_smpc.smpc import _SAA_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +242,80 @@ def test_closed_loop_long_run_bounded(four_state_problem):
     traj = simulate(smpc_closed_loop_ifs(four_state_problem, 20),
                     np.zeros(4), 10_000, seed=1)
     assert np.abs(traj.states).max() < 10.0
+
+
+def _stepped_states(loop, x0, n_steps, rng):
+    """The oracle: step the adapter's sampler and map one step at a time."""
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for _ in range(n_steps):
+        x, _ = step_continuous(loop, x, rng)
+        states.append(x)
+    return np.array(states)
+
+
+# Two full noise blocks and a partial third, so block boundaries are crossed.
+BOUNDARY_STEPS = 2 * _SAA_BLOCK + 3
+
+
+@pytest.mark.parametrize("j_samples", [1, 100])
+def test_saa_path_matches_stepping_across_blocks(j_samples):
+    problem = generate_problem(GenerationSpec.default(), seed=3)
+    loop = smpc_closed_loop_ifs(problem, j_samples)
+    x0 = closed_loop_fixed_point(problem) + 0.1
+    traj = simulate(loop, x0, BOUNDARY_STEPS, seed=4)
+    expected = _stepped_states(loop, x0, BOUNDARY_STEPS, make_rng(4))
+    assert np.array_equal(traj.states, expected)
+    assert traj.selections is None
+    # The kernel draws exactly the steps' noise: the generator ends where
+    # stepping leaves it.
+    rng_path, rng_step = make_rng(5), make_rng(5)
+    loop.advance(x0, 7, rng_path)
+    _stepped_states(loop, x0, 7, rng_step)
+    assert rng_path.random() == rng_step.random()
+
+
+@pytest.mark.parametrize("j_samples", [1, 100])
+def test_run_ensemble_advance_matches_stepping(j_samples):
+    problem = generate_problem(GenerationSpec.default(), seed=3)
+    loop = smpc_closed_loop_ifs(problem, j_samples)
+    stepped = dataclasses.replace(loop, advance=None)
+    x_star = closed_loop_fixed_point(problem)
+    particles = [x_star - 0.2, x_star + 0.3]
+    fast = run_ensemble(loop, particles, BOUNDARY_STEPS, seed=6, n_bins=3)
+    slow = run_ensemble(stepped, particles, BOUNDARY_STEPS, seed=6, n_bins=3)
+    # With no range given the bin edges span the final positions exactly.
+    for a, b in zip(fast.edges + fast.proportions, slow.edges + slow.proportions):
+        assert np.array_equal(a, b)
+
+
+def _diverging_problem(growth):
+    return MPCProblem(a=np.eye(2) * growth, b=np.eye(2) * 1e-9, q=np.eye(2),
+                      r=np.eye(2), z=[0.0, 0.0],
+                      noise=NoiseSpec(pattern=((0, 1),), bound=0.01))
+
+
+@pytest.mark.parametrize("growth, bound, sim_step, ens_step", [
+    (3.0, 1e12, 24, 24),          # past the divergence bound, first block
+    (1.5, np.inf, 1749, 1750),    # overflow to inf, second block
+])
+def test_saa_path_blowup_matches_stepping(growth, bound, sim_step, ens_step):
+    loop = smpc_closed_loop_ifs(_diverging_problem(growth), 4)
+    stepped = dataclasses.replace(loop, advance=None)
+    errors = []
+    for system in (loop, stepped):
+        with pytest.raises(NumericalBlowupError, match=f"^step {sim_step}: ") as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulate(system, [1.0, 1.0], BOUNDARY_STEPS, seed=2, divergence_bound=bound)
+        errors.append(str(info.value))
+        # Particle 0 sits at the origin, a fixed point; particle 1 diverges.
+        with pytest.raises(NumericalBlowupError,
+                           match=f"^particle 1, step {ens_step}: ") as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_ensemble(system, [np.zeros(2), np.ones(2)], BOUNDARY_STEPS, seed=2,
+                         divergence_bound=bound)
+        errors.append(str(info.value))
+    assert errors[:2] == errors[2:]
 
 
 def test_kernel_factors_normal_matrix_once(monkeypatch):
