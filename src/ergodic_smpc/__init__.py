@@ -18,7 +18,6 @@ from .conditions import (
     check_stopping_time,
     estimate_lipschitz,
     estimate_probability_modulus,
-    operator_norm,
 )
 from .ergodics import (
     DiagnosticReport,

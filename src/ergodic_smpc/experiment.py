@@ -284,10 +284,6 @@ def run_trial(config: ExperimentConfig, trial_id: int, out_root) -> TrialResult:
     return result
 
 
-def _trial_worker(config: ExperimentConfig, trial_id: int, out_root: str) -> TrialResult:
-    return run_trial(config, trial_id, out_root)
-
-
 def _write_summary_csv(path, results: list[TrialResult], d: int) -> None:
     header = (["trial", "status", "analytic", "sampled", "bound", "lambda_hat",
                "stabilizing"] + [f"tv_last_{j}" for j in range(d)] + ["error"])
@@ -321,7 +317,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> list[
     trial_ids = list(range(config.n_trials))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_trial_worker, config, t, str(out_dir))
+            futures = [pool.submit(run_trial, config, t, out_dir)
                        for t in trial_ids]
             results = [f.result() for f in futures]
     else:

@@ -224,55 +224,36 @@ def _step(ifs, x, rng):
     raise TypeError(f"not an IFS: {type(ifs).__name__}")
 
 
-def _advance(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
-             divergence_bound: float, where: str) -> np.ndarray:
-    """States from ``ifs.advance``, checked row by row as steps are checked.
+def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
+          divergence_bound: float) -> tuple[np.ndarray, list | None]:
+    """States (n_steps + 1, d) from x and the selections taken, checked per step.
 
-    Step k produced row k + 1.  Only rows whose largest entry could put
-    them past the bound, or that are not finite, get the exact per-step
-    checks, which raise the stepping path's errors prefixed by ``where``.
+    Step k produces row k + 1.  A failing step raises with ``step k: ``
+    prefixed; a state whose norm exceeds ``divergence_bound`` raises
+    ``NumericalBlowupError``.  A continuous IFS with ``advance`` runs
+    through it and keeps no selections: only rows whose largest entry could
+    put them past the bound, or that are not finite, get the exact per-step
+    checks, which raise the stepping path's errors.
     """
-    states = ifs.advance(x, n_steps, rng)
-    if states.shape != (n_steps + 1, x.size):
-        raise ValueError(f"advance returned shape {states.shape}, "
-                         f"expected {(n_steps + 1, x.size)}")
-    # ||x|| <= sqrt(d) max|x_i|, so a row passing this screen passes the
-    # norm check with room for rounding; NaN rows fail the comparison.
-    peak = np.abs(states[1:]).max(axis=1)
-    for k in np.flatnonzero(~(peak * (2 * x.size) <= divergence_bound)):
-        row = states[k + 1]
-        if not np.all(np.isfinite(row)):
-            raise NumericalBlowupError(
-                f"{where}step {k}: map produced non-finite output at {states[k]}")
-        norm = float(np.linalg.norm(row))
-        if norm > divergence_bound:
-            raise NumericalBlowupError(
-                f"{where}step {k}: state norm {norm:.6e} exceeded divergence bound "
-                f"{divergence_bound:.6e}")
-    return states
-
-
-def _has_advance(ifs) -> bool:
-    return isinstance(ifs, ContinuousIFS) and ifs.advance is not None
-
-
-def simulate(ifs, x0, n_steps: int, seed: int,
-             divergence_bound: float = DEFAULT_DIVERGENCE_BOUND) -> Trajectory:
-    """Iterate the IFS from x0 for n_steps with a dedicated generator.
-
-    Identical (ifs, x0, n_steps, seed) calls return bit-identical
-    trajectories.  Step failures propagate with the step index attached;
-    states whose norm exceeds ``divergence_bound`` abort the run.  A
-    continuous IFS with ``advance`` runs through it; its trajectory keeps
-    no selections.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    x = as_state(x0)
-    rng = make_rng(seed)
-    if _has_advance(ifs):
-        states = _advance(ifs, x, n_steps, rng, divergence_bound, "")
-        return Trajectory(states=states, seed=seed, selections=None)
+    if isinstance(ifs, ContinuousIFS) and ifs.advance is not None:
+        states = ifs.advance(x, n_steps, rng)
+        if states.shape != (n_steps + 1, x.size):
+            raise ValueError(f"advance returned shape {states.shape}, "
+                             f"expected {(n_steps + 1, x.size)}")
+        # ||x|| <= sqrt(d) max|x_i|, so a row passing this screen passes the
+        # norm check with room for rounding; NaN rows fail the comparison.
+        peak = np.abs(states[1:]).max(axis=1)
+        for k in np.flatnonzero(~(peak * (2 * x.size) <= divergence_bound)):
+            row = states[k + 1]
+            if not np.all(np.isfinite(row)):
+                raise NumericalBlowupError(
+                    f"step {k}: map produced non-finite output at {states[k]}")
+            norm = float(np.linalg.norm(row))
+            if norm > divergence_bound:
+                raise NumericalBlowupError(
+                    f"step {k}: state norm {norm:.6e} exceeded divergence bound "
+                    f"{divergence_bound:.6e}")
+        return states, None
     states = np.empty((n_steps + 1, x.size))
     states[0] = x
     selections: list = []
@@ -290,6 +271,23 @@ def simulate(ifs, x0, n_steps: int, seed: int,
             raise ValueError(f"step {k}: map changed the state dimension")
         states[k + 1] = x
         selections.append(choice)
+    return states, selections
+
+
+def simulate(ifs, x0, n_steps: int, seed: int,
+             divergence_bound: float = DEFAULT_DIVERGENCE_BOUND) -> Trajectory:
+    """Iterate the IFS from x0 for n_steps with a dedicated generator.
+
+    Identical (ifs, x0, n_steps, seed) calls return bit-identical
+    trajectories.  Step failures propagate with the step index attached;
+    states whose norm exceeds ``divergence_bound`` abort the run.  A
+    continuous IFS with ``advance`` runs through it; its trajectory keeps
+    no selections.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    states, selections = _walk(ifs, as_state(x0), n_steps, make_rng(seed),
+                               divergence_bound)
     return Trajectory(states=states, seed=seed, selections=selections)
 
 
@@ -300,7 +298,8 @@ def run_ensemble(ifs, initial_measure, n_steps: int, seed: int,
 
     Each particle gets its own (seed, particle id) stream, so the result
     does not depend on evaluation order and the particle count is
-    preserved in the returned measure.
+    preserved in the returned measure.  Step failures carry the particle
+    and step index.
     """
     particles = [as_state(p) for p in initial_measure]
     if not particles:
@@ -310,22 +309,11 @@ def run_ensemble(ifs, initial_measure, n_steps: int, seed: int,
     for i, x in enumerate(particles):
         if x.size != dim:
             raise ValueError("all particles must share one dimension")
-        rng = make_rng(seed, i)
-        if _has_advance(ifs):
-            finals[i] = _advance(ifs, x, n_steps, rng, divergence_bound,
-                                 f"particle {i}, ")[-1]
-            continue
-        for k in range(n_steps):
-            try:
-                x, _ = _step(ifs, x, rng)
-            except (InvalidProbabilityError, NumericalBlowupError, ParameterDomainError) as exc:
-                raise type(exc)(f"particle {i}, step {k}: {exc}") from exc
-            norm = float(np.linalg.norm(x))
-            if norm > divergence_bound:
-                raise NumericalBlowupError(
-                    f"particle {i}, step {k}: state norm {norm:.6e} exceeded "
-                    f"divergence bound {divergence_bound:.6e}")
-        finals[i] = x
+        try:
+            states, _ = _walk(ifs, x, n_steps, make_rng(seed, i), divergence_bound)
+        except (InvalidProbabilityError, NumericalBlowupError, ParameterDomainError) as exc:
+            raise type(exc)(f"particle {i}, {exc}") from exc
+        finals[i] = states[-1]
     return histogram_from_samples(finals, n_bins=n_bins, range_=range_)
 
 

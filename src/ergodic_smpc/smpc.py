@@ -13,9 +13,10 @@ control set with the regularized mixed strategy as a discrete IFS.
 
 ``R + B'QB`` does not depend on the state, so each problem carries one
 ``LinearClosedLoop`` kernel that checks and Cholesky-factors it once; the
-controllers, the closed-loop adapters and the fixed point all solve
-through that factor.  The kernel also runs whole SAA trajectories with
-the noise drawn in blocks of steps (``LinearClosedLoop.saa_path``).
+controllers, the closed-loop adapters, the fixed point and the certified
+contraction bound all solve through that factor.  The kernel also runs
+whole SAA trajectories with the noise drawn in blocks of steps
+(``LinearClosedLoop.saa_path``).
 """
 
 from __future__ import annotations
@@ -365,7 +366,8 @@ class LinearClosedLoop:
     point operations, in the same order, as forming and factoring the
     normal equations afresh at every step, so their results are
     bit-identical to that.  The plant update needs no factor and stays in
-    ``_apply_plant``.
+    ``_apply_plant``.  ``gain`` and ``vertices`` serve the fixed point, the
+    noise-box vertex maps and the certified contraction bound.
     """
 
     def __init__(self, problem: MPCProblem):
@@ -381,6 +383,23 @@ class LinearClosedLoop:
         self._a, self._q, self._z = problem.a, problem.q, problem.z
         self._b, self._neg_bt = problem.b, -problem.b.T
         self._noise, self._d = problem.noise, problem.d
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """K = (R + B'QB)^-1 B'Q, so the exact control is -K (A x - z)."""
+        k_gain = self.solve(self._b.T @ self._q)
+        k_gain.setflags(write=False)
+        return k_gain
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """A + Xi at every vertex of the noise box, as one (2^k, d, d) stack.
+
+        Row i is ``A + as_matrix(noise.extreme_entries()[i])`` bit for bit.
+        """
+        stack = self._perturbed(np.array(self._noise.extreme_entries()))
+        stack.setflags(write=False)
+        return stack
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(R + B'QB)^-1 rhs through the cached factor (LAPACK potrs)."""
@@ -504,7 +523,7 @@ def expected_cost(problem: MPCProblem, x, u) -> float:
 
 def closed_loop_fixed_point(problem: MPCProblem) -> np.ndarray:
     """Fixed point of the noise-free exact-control closed loop."""
-    k_gain = problem.closed_loop.solve(problem.b.T @ problem.q)
+    k_gain = problem.closed_loop.gain
     m_cl = problem.a - problem.b @ (k_gain @ problem.a)
     lhs = np.eye(problem.d) - m_cl
     if np.linalg.cond(lhs) > _COND_LIMIT:
@@ -546,19 +565,17 @@ def extreme_noise_closed_loop_ifs(problem: MPCProblem) -> DiscreteIFS:
     uniformly.  This is the finite system whose average contraction is
     checked numerically against the analytic bound.
     """
-    extremes = problem.noise.extreme_entries()
+    loop = problem.closed_loop
 
-    def make_map(entries):
-        a_vertex = problem.a + problem.noise.as_matrix(entries, problem.d)
-
+    def make_map(a_vertex):
         def apply(x):
             x = as_state(x, problem.d)
-            return a_vertex @ x + problem.b @ problem.closed_loop.exact_control(x)
+            return a_vertex @ x + problem.b @ loop.exact_control(x)
         return apply
 
-    n = len(extremes)
+    n = len(loop.vertices)
     weights = np.full(n, 1.0 / n)
-    return DiscreteIFS(maps=tuple(make_map(e) for e in extremes),
+    return DiscreteIFS(maps=tuple(make_map(v) for v in loop.vertices),
                        probs=lambda x: weights)
 
 

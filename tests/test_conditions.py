@@ -17,7 +17,6 @@ from ergodic_smpc import (
     estimate_lipschitz,
     estimate_probability_modulus,
     generate_problem,
-    operator_norm,
 )
 from ergodic_smpc.experiment import check_problem
 from ergodic_smpc.ifs import ContinuousIFS
@@ -30,25 +29,6 @@ def constant_prob_ifs(p):
     p = np.asarray(p, dtype=float)
     maps = tuple((lambda x: x / (i + 2)) for i in range(p.size))
     return DiscreteIFS(maps=maps, probs=lambda x: p)
-
-
-# ---------------------------------------------------------------------------
-# operator norm
-# ---------------------------------------------------------------------------
-
-def test_operator_norm_matches_svd():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        m = rng.normal(size=(4, 4))
-        top = np.linalg.svd(m, compute_uv=False)[0]
-        assert operator_norm(m) == pytest.approx(top, rel=1e-7)
-
-
-def test_operator_norm_edge_cases():
-    assert operator_norm(np.zeros((3, 3))) == 0.0
-    assert operator_norm([[2.0]]) == pytest.approx(2.0, abs=1e-12)
-    # repeated top singular value
-    assert operator_norm(np.eye(4) * 0.7) == pytest.approx(0.7, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +221,46 @@ def test_linear_condition_singular_normal_matrix():
                          noise=NoiseSpec(pattern=(), bound=0.0))
     with pytest.raises(SingularNormalMatrixError):
         check_linear_sufficient_condition(problem)
+
+
+def test_certified_bound_is_exact_spectral_norm():
+    # Recomputed vertex by vertex with an SVD and an LU-solved gain; an
+    # iterative norm that stops early reports a bound below the true one.
+    three_entries = GenerationSpec(
+        lam_a=(0.3, 0.2, 0.1), lam_q=(1.0, 2.0, 3.0), lam_r=(1.0, 0.5), d=3, m=2,
+        noise=NoiseSpec(pattern=((0, 1), (1, 2), (2, 0)), bound=0.05))
+    problems = [generate_problem(GenerationSpec.default(), seed=s) for s in range(20)]
+    problems.append(generate_problem(three_entries, seed=1))
+
+    def top(m):
+        return np.linalg.svd(m, compute_uv=False)[0]
+
+    for problem in problems:
+        k_gain = np.linalg.solve(problem.normal_matrix, problem.b.T @ problem.q)
+        feedback = top(problem.b @ k_gain @ problem.a)
+        worst = max(top(problem.a + problem.noise.as_matrix(e, problem.d))
+                    for e in problem.noise.extreme_entries())
+        constants = check_linear_sufficient_condition(problem).constants
+        assert constants["worst_dynamics_norm"] == pytest.approx(worst, rel=1e-13)
+        assert constants["feedback_norm"] == pytest.approx(feedback, rel=1e-13)
+        assert constants["bound"] == pytest.approx(worst + feedback, rel=1e-13)
+
+
+@pytest.mark.parametrize("pattern, bound", [
+    ((), 0.0),                          # k = 0: one vertex, A itself
+    (((0, 1), (2, 2)), 0.0),            # h = 0: one deduplicated vertex
+    (((0, 1), (1, 0), (2, 2)), 0.01),   # k = 3: eight vertices
+])
+def test_kernel_vertices_equal_perturbed_dynamics(pattern, bound):
+    spec = GenerationSpec(lam_a=(0.4, 0.2, 0.1), lam_q=(1.0, 2.0, 3.0),
+                          lam_r=(1.0, 0.5, 2.0), d=3, m=3,
+                          noise=NoiseSpec(pattern=pattern, bound=bound))
+    problem = generate_problem(spec, seed=2)
+    extremes = problem.noise.extreme_entries()
+    vertices = problem.closed_loop.vertices
+    assert vertices.shape == (len(extremes), 3, 3)
+    for vertex, entries in zip(vertices, extremes):
+        assert np.array_equal(vertex, problem.a + problem.noise.as_matrix(entries, 3))
 
 
 def test_sampled_contraction_dominated_by_analytic_bound():

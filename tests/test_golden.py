@@ -10,10 +10,10 @@ from pathlib import Path
 
 from ergodic_smpc.cli import main
 
-SMOKE_SEED_7_DIGEST = "02e8dfe77b47a673ca7cc8d6db2b69b46e804ba21165423bb669969f29632236"
+SMOKE_SEED_7_DIGEST = "b7a8d14b5331d89260b716b832f99cef7679781607fa466f4375b4001d8511b5"
 # One trial at the default 10 000 steps: the SAA noise is drawn in blocks
 # of 1024 steps, which the 1000-step smoke run never crosses.
-TRIAL_SEED_7_DIGEST = "295ee04da07f374c80147e1055ce408b21cba7b55f5a0b27aff801a41175f89d"
+TRIAL_SEED_7_DIGEST = "c432e22d21d9a6adceb816bd1ec2ae1243685c3dc609eeec5a1c06961f07219e"
 
 
 def tree_digest(root) -> str:

@@ -217,9 +217,17 @@ def test_run_ensemble_bernoulli_uniform(bernoulli_ifs):
 
 def test_run_ensemble_blowup_names_particle():
     ifs = DiscreteIFS(maps=(lambda x: 10 * x,), probs=lambda x: np.array([1.0]))
-    with pytest.raises(NumericalBlowupError, match="particle 2"):
+    with pytest.raises(NumericalBlowupError, match=r"^particle 2, step \d+: "):
         run_ensemble(ifs, [np.zeros(1), np.zeros(1), np.ones(1)], 10, seed=0,
                      divergence_bound=1e3)
+
+
+def test_map_changing_dimension_is_rejected():
+    ifs = DiscreteIFS(maps=(lambda x: np.append(x, 0.0),), probs=lambda x: np.array([1.0]))
+    with pytest.raises(ValueError, match="^step 0: map changed the state dimension"):
+        simulate(ifs, [1.0], 3, seed=0)
+    with pytest.raises(ValueError, match="^step 0: map changed the state dimension"):
+        run_ensemble(ifs, [np.zeros(1)], 3, seed=0)
 
 
 def test_run_ensemble_order_independent_streams(bernoulli_ifs):
