@@ -39,41 +39,34 @@ def _env_seed() -> int | None:
     return int(raw) if raw else None
 
 
-def _resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
+def _resolve_seed(flag_seed: int | None, file_data: dict | None = None) -> int:
+    """The seed rule: flag > the file's "seed" key > ERGODIC_SMPC_SEED > 0."""
+    file_seed = None if file_data is None else file_data.get("seed")
     for candidate in (flag_seed, file_seed, _env_seed()):
         if candidate is not None:
             return int(candidate)
     return 0
 
 
-def _load_config(path: str | None) -> ExperimentConfig | None:
-    if path is None:
-        return None
-    return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+def _load_json(path: str | None) -> dict | None:
+    return None if path is None else json.loads(Path(path).read_text())
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
+def _apply_overrides(config: ExperimentConfig, args, file_data: dict | None) -> ExperimentConfig:
+    updates = {"seed": _resolve_seed(args.seed, file_data)}
     for flag, name in [("trials", "n_trials"), ("iters", "n_iterations"),
                        ("saa_samples", "saa_samples"), ("bins", "n_bins"),
                        ("windows", "n_windows"), ("tolerance", "tolerance")]:
         value = getattr(args, flag, None)
         if value is not None:
             updates[name] = value
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    elif getattr(args, "config", None) is None and _env_seed() is not None:
-        updates["seed"] = _env_seed()
-    return replace(config, **updates) if updates else config
+    return replace(config, **updates)
 
 
 def cmd_generate(args) -> int:
-    if args.spec is not None:
-        spec = GenerationSpec.from_dict(json.loads(Path(args.spec).read_text()))
-    else:
-        spec = GenerationSpec.default()
-    seed = _resolve_seed(args.seed, spec.seed if args.spec is not None else None)
-    problem = generate_problem(spec, seed=seed)
+    data = _load_json(args.spec)
+    spec = GenerationSpec.default() if data is None else GenerationSpec.from_dict(data)
+    problem = generate_problem(spec, seed=_resolve_seed(args.seed, data))
     atomic_write_text(args.out, problem.to_json() + "\n")
     for name, mat in [("A", problem.a), ("Q", problem.q), ("R", problem.r)]:
         spectrum = ", ".join(format(v, ".12g") for v in np.linalg.eigvalsh(mat))
@@ -102,8 +95,8 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     problem = MPCProblem.from_json(Path(args.problem).read_text())
-    file_config = _load_config(args.config)
-    config = _apply_overrides(file_config or ExperimentConfig(), args)
+    data = _load_json(args.config)
+    config = _apply_overrides(ExperimentConfig.from_dict(data or {}), args, data)
     try:
         run = simulate_and_report(
             problem, args.out,
@@ -120,10 +113,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    config = _load_config(args.config) or ExperimentConfig()
+    data = _load_json(args.config)
+    config = ExperimentConfig.from_dict(data or {})
     if args.smoke:
         config = config.smoke()
-    config = _apply_overrides(config, args)
+    config = _apply_overrides(config, args, data)
     results = run_experiment(config, args.out, workers=args.workers)
     for res in results:
         if res.ok:

@@ -316,16 +316,14 @@ def check_linear_sufficient_condition(problem: MPCProblem) -> ConditionReport:
     contracts for every noise realization when that sum is below 1.  The
     worst ||A + Xi|| over the entrywise noise box is attained at a vertex
     because the norm is convex in the noise entries, making the verdict
-    certified rather than sampled.  The spectral norms are exact (SVD), and
-    the gain and the vertex stack come from the problem's closed-loop
-    kernel, whose construction raises ``SingularNormalMatrixError`` when
-    R + B'QB is singular.
+    certified rather than sampled.  The spectral norms are exact (SVD) of
+    ``problem.vertices`` and of B K A with ``problem.gain``, which raises
+    ``SingularNormalMatrixError`` when R + B'QB is singular.
     """
-    loop = problem.closed_loop
-    norms = np.linalg.norm(loop.vertices, 2, axis=(1, 2))
+    norms = np.linalg.norm(problem.vertices, 2, axis=(1, 2))
     worst = int(np.argmax(norms))
     worst_dynamics = float(norms[worst])
-    feedback_norm = float(np.linalg.norm(problem.b @ loop.gain @ problem.a, 2))
+    feedback_norm = float(np.linalg.norm(problem.b @ problem.gain @ problem.a, 2))
     bound = worst_dynamics + feedback_norm
     return ConditionReport(
         condition="linear_sufficient_contraction",

@@ -11,12 +11,13 @@ A + mean of the drawn perturbations.  Adapters package the closed loop as
 a continuous IFS (parameter = all noise draws of one step) and a finite
 control set with the regularized mixed strategy as a discrete IFS.
 
-``R + B'QB`` does not depend on the state, so each problem carries one
-``LinearClosedLoop`` kernel that checks and Cholesky-factors it once; the
-controllers, the closed-loop adapters, the fixed point and the certified
-contraction bound all solve through that factor.  The kernel also runs
-whole SAA trajectories with the noise drawn in blocks of steps
-(``LinearClosedLoop.saa_path``).
+``R + B'QB`` does not depend on the state, so each problem checks and
+Cholesky-factors it once and keeps the gain K = (R + B'QB)^-1 B'Q
+(``MPCProblem.gain``).  Every control is then the affine expression
+K (z - A_hat x), with A_hat = A for the exact controller and A + mean of
+the draws for the SAA controller; the closed-loop adapters, the fixed
+point and the certified contraction bound all read the same K.  Whole SAA
+trajectories run with the noise drawn in blocks of steps (``_saa_path``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularNormalMatrixError
 from .ifs import ContinuousIFS, DiscreteIFS, as_state
@@ -38,7 +38,6 @@ from .rng import make_rng
 __all__ = [
     "NoiseSpec",
     "MPCProblem",
-    "LinearClosedLoop",
     "GenerationSpec",
     "DiscreteControlProblem",
     "generate_problem",
@@ -60,8 +59,8 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _SYM_TOL = 1e-9
-# Steps per noise block of ``LinearClosedLoop.saa_path``: one block holds
-# ~1.6 MB of draws at J = 100 with two noise entries.
+# Steps per noise block of ``_saa_path``: one block holds ~1.6 MB of
+# draws at J = 100 with two noise entries.
 _SAA_BLOCK = 1024
 
 
@@ -117,9 +116,6 @@ class NoiseSpec:
         xi = np.zeros((d, d))
         xi[self.index] = entries
         return xi
-
-    def sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
-        return self.as_matrix(self.sample_entries(rng), d)
 
     def extreme_entries(self) -> list[np.ndarray]:
         """Vertices of the entrywise noise box (deduplicated when h = 0)."""
@@ -197,13 +193,36 @@ class MPCProblem:
         return self.r + self.b.T @ self.q @ self.b
 
     @cached_property
-    def closed_loop(self) -> "LinearClosedLoop":
-        """The factor-once kernel, built on first use and kept thereafter.
+    def gain(self) -> np.ndarray:
+        """K = (R + B'QB)^-1 B'Q, so every control is K (z - A_hat x).
 
-        Raises ``SingularNormalMatrixError`` (on every access) when R + B'QB
-        is singular.
+        Built on first use and kept: one condition-number check, one
+        Cholesky factorization and one solve.  Raises
+        ``SingularNormalMatrixError`` (on every access) when R + B'QB is
+        singular.
         """
-        return LinearClosedLoop(self)
+        mm = self.normal_matrix
+        if not np.all(np.isfinite(mm)) or np.linalg.cond(mm) > _COND_LIMIT:
+            raise SingularNormalMatrixError(
+                f"normal matrix R + B'QB is singular (condition number > {_COND_LIMIT:.0e})")
+        try:
+            factor = cho_factor(mm, check_finite=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond guard fires first
+            raise SingularNormalMatrixError(str(exc)) from exc
+        k_gain = cho_solve(factor, self.b.T @ self.q, check_finite=False)
+        k_gain.setflags(write=False)
+        return k_gain
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """A + Xi at every vertex of the noise box, as one (2^k, d, d) stack.
+
+        Row i is ``A + noise.as_matrix(noise.extreme_entries()[i], d)`` bit
+        for bit.
+        """
+        stack = _perturbed(self, np.array(self.noise.extreme_entries()))
+        stack.setflags(write=False)
+        return stack
 
     def to_dict(self) -> dict:
         return {
@@ -357,121 +376,59 @@ def generate_problem(spec: GenerationSpec, seed: int | None = None) -> MPCProble
     return MPCProblem(a=a, b=b, q=q, r=r, z=z, noise=spec.noise)
 
 
-class LinearClosedLoop:
-    """Factor-once kernel of the loop x' = (A + Xi) x + B u.
+def _perturbed(problem: MPCProblem, entries: np.ndarray) -> np.ndarray:
+    """A + Xi for each row of a (c, k) entry block, as one (c, d, d) array."""
+    out = np.zeros((entries.shape[0], problem.d, problem.d))
+    out[(slice(None),) + problem.noise.index] = entries
+    out += problem.a
+    return out
 
-    Construction checks the condition number of R + B'QB and
-    Cholesky-factors it, once per problem (see ``MPCProblem.closed_loop``).
-    The controls take validated states and perform the same floating
-    point operations, in the same order, as forming and factoring the
-    normal equations afresh at every step, so their results are
-    bit-identical to that.  The plant update needs no factor and stays in
-    ``_apply_plant``.  ``gain`` and ``vertices`` serve the fixed point, the
-    noise-box vertex maps and the certified contraction bound.
+
+def _saa_control(problem: MPCProblem, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    a_bar = problem.a + problem.noise.as_matrix(draws.mean(axis=0), problem.d)
+    return problem.gain @ (problem.z - a_bar @ x)
+
+
+def _saa_path(problem: MPCProblem, x0, n_steps: int, j_samples: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """States (n_steps + 1, d) of the SAA loop from x0.
+
+    Each step's (J + 1, k) noise draws are taken in blocks of
+    ``_SAA_BLOCK`` steps from ``rng``, which is the same draw sequence,
+    and the per-step arithmetic is that of ``_saa_control`` followed by
+    the plant update, so the states are bit-identical to stepping
+    ``smpc_closed_loop_ifs`` with the same generator.  Once a block holds
+    a non-finite state the run stops; the rows after that block are NaN.
     """
-
-    def __init__(self, problem: MPCProblem):
-        mm = problem.normal_matrix
-        if not np.all(np.isfinite(mm)) or np.linalg.cond(mm) > _COND_LIMIT:
-            raise SingularNormalMatrixError(
-                f"normal matrix R + B'QB is singular (condition number > {_COND_LIMIT:.0e})")
-        try:
-            self._factor, self._lower = cho_factor(mm, check_finite=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond guard fires first
-            raise SingularNormalMatrixError(str(exc)) from exc
-        self.normal_matrix = mm
-        self._a, self._q, self._z = problem.a, problem.q, problem.z
-        self._b, self._neg_bt = problem.b, -problem.b.T
-        self._noise, self._d = problem.noise, problem.d
-
-    @cached_property
-    def gain(self) -> np.ndarray:
-        """K = (R + B'QB)^-1 B'Q, so the exact control is -K (A x - z)."""
-        k_gain = self.solve(self._b.T @ self._q)
-        k_gain.setflags(write=False)
-        return k_gain
-
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        """A + Xi at every vertex of the noise box, as one (2^k, d, d) stack.
-
-        Row i is ``A + as_matrix(noise.extreme_entries()[i])`` bit for bit.
-        """
-        stack = self._perturbed(np.array(self._noise.extreme_entries()))
-        stack.setflags(write=False)
-        return stack
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(R + B'QB)^-1 rhs through the cached factor (LAPACK potrs)."""
-        out, info = dpotrs(self._factor, rhs, lower=self._lower)
-        if info != 0:  # pragma: no cover - arguments are validated upstream
-            raise ValueError(f"illegal value in argument {-info} of potrs")
-        return out
-
-    def _control(self, a_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.solve(self._neg_bt @ (self._q @ (a_hat @ x - self._z)))
-
-    def exact_control(self, x: np.ndarray) -> np.ndarray:
-        """Minimizer of the expected one-step objective at state x."""
-        return self._control(self._a, x)
-
-    def saa_control(self, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Sample-average control for a (J, k) block of noise draws."""
-        a_bar = self._a + self._noise.as_matrix(draws.mean(axis=0), self._d)
-        return self._control(a_bar, x)
-
-    def _perturbed(self, entries: np.ndarray) -> np.ndarray:
-        """A + Xi for each row of a (c, k) entry block, as one (c, d, d) array."""
-        out = np.zeros((entries.shape[0], self._d, self._d))
-        out[(slice(None),) + self._noise.index] = entries
-        out += self._a
-        return out
-
-    def saa_path(self, x0, n_steps: int, j_samples: int,
-                 rng: np.random.Generator) -> np.ndarray:
-        """States (n_steps + 1, d) of the SAA loop from x0.
-
-        Each step's (J + 1, k) noise draws are taken in blocks of
-        ``_SAA_BLOCK`` steps from ``rng``, which is the same draw sequence,
-        and the per-step arithmetic is that of ``saa_control`` followed by
-        the plant update, so the states are bit-identical to stepping
-        ``smpc_closed_loop_ifs`` with the same generator.  Once a block
-        holds a non-finite state the run stops; the rows after that block
-        are NaN.
-        """
-        if j_samples < 1:
-            raise ValueError("j_samples must be >= 1")
-        x = as_state(x0, self._d)
-        states = np.empty((n_steps + 1, self._d))
-        states[0] = x
-        k = self._noise.n_entries
-        factor, lower = self._factor, self._lower
-        neg_bt, q, z, b = self._neg_bt, self._q, self._z, self._b
-        # Past a blow-up the remaining steps of its block only propagate
-        # inf and NaN; the caller reports the first bad state.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n_steps, _SAA_BLOCK):
-                c = min(_SAA_BLOCK, n_steps - start)
-                t = self._noise.sample_entries(rng, c * (j_samples + 1))
-                t = t.reshape(c, j_samples + 1, k)
-                a_bar = self._perturbed(t[:, :-1].mean(axis=1))
-                a_plant = self._perturbed(t[:, -1])
-                for i in range(c):
-                    # ``solve`` inlined: the factor and the right-hand
-                    # side's shape are fixed, so potrs's info is always 0.
-                    u = dpotrs(factor, neg_bt @ (q @ (a_bar[i] @ x - z)), lower=lower)[0]
-                    x = a_plant[i] @ x + b @ u
-                    states[start + i + 1] = x
-                if not np.isfinite(states[start + 1:start + c + 1]).all():
-                    states[start + c + 1:] = np.nan
-                    break
-        return states
+    if j_samples < 1:
+        raise ValueError("j_samples must be >= 1")
+    d, k = problem.d, problem.noise.n_entries
+    x = as_state(x0, d)
+    states = np.empty((n_steps + 1, d))
+    states[0] = x
+    k_gain, z, b = problem.gain, problem.z, problem.b
+    # Past a blow-up the remaining steps of its block only propagate inf
+    # and NaN; the caller reports the first bad state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, _SAA_BLOCK):
+            c = min(_SAA_BLOCK, n_steps - start)
+            t = problem.noise.sample_entries(rng, c * (j_samples + 1))
+            t = t.reshape(c, j_samples + 1, k)
+            a_bar = _perturbed(problem, t[:, :-1].mean(axis=1))
+            a_plant = _perturbed(problem, t[:, -1])
+            for i in range(c):
+                x = a_plant[i] @ x + b @ (k_gain @ (z - a_bar[i] @ x))
+                states[start + i + 1] = x
+            if not np.isfinite(states[start + 1:start + c + 1]).all():
+                states[start + c + 1:] = np.nan
+                break
+    return states
 
 
 def exact_control(problem: MPCProblem, x) -> np.ndarray:
     """Minimizer of the expected one-step objective at state x."""
     x = as_state(x, problem.d)
-    return problem.closed_loop.exact_control(x)
+    return problem.gain @ (problem.z - problem.a @ x)
 
 
 def saa_control_from_draws(problem: MPCProblem, x, saa_entries) -> np.ndarray:
@@ -481,7 +438,7 @@ def saa_control_from_draws(problem: MPCProblem, x, saa_entries) -> np.ndarray:
     if entries.shape[1] != problem.noise.n_entries:
         raise ValueError(
             f"expected draws with {problem.noise.n_entries} entries per row")
-    return problem.closed_loop.saa_control(x, entries)
+    return _saa_control(problem, x, entries)
 
 
 def saa_control(problem: MPCProblem, x, j_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -523,7 +480,7 @@ def expected_cost(problem: MPCProblem, x, u) -> float:
 
 def closed_loop_fixed_point(problem: MPCProblem) -> np.ndarray:
     """Fixed point of the noise-free exact-control closed loop."""
-    k_gain = problem.closed_loop.gain
+    k_gain = problem.gain
     m_cl = problem.a - problem.b @ (k_gain @ problem.a)
     lhs = np.eye(problem.d) - m_cl
     if np.linalg.cond(lhs) > _COND_LIMIT:
@@ -539,8 +496,8 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
     sample-average controller and the last row is the plant draw.
     Stepping the adapter is draw-for-draw identical to calling
     ``saa_control`` followed by ``plant_step`` with the same generator.
-    Its ``advance`` runs whole paths through ``LinearClosedLoop.saa_path``,
-    which gives the same states as stepping.
+    Its ``advance`` runs whole paths through ``_saa_path``, which gives
+    the same states as stepping.
     """
     if j_samples < 1:
         raise ValueError("j_samples must be >= 1")
@@ -550,10 +507,10 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
 
     def apply(t, x):
         x = as_state(x, problem.d)
-        return _apply_plant(problem, x, problem.closed_loop.saa_control(x, t[:-1]), t[-1])
+        return _apply_plant(problem, x, _saa_control(problem, x, t[:-1]), t[-1])
 
     def advance(x, n_steps, rng):
-        return problem.closed_loop.saa_path(x, n_steps, j_samples, rng)
+        return _saa_path(problem, x, n_steps, j_samples, rng)
 
     return ContinuousIFS(map=apply, sampler=sampler, advance=advance)
 
@@ -565,17 +522,16 @@ def extreme_noise_closed_loop_ifs(problem: MPCProblem) -> DiscreteIFS:
     uniformly.  This is the finite system whose average contraction is
     checked numerically against the analytic bound.
     """
-    loop = problem.closed_loop
+    k_gain, vertices = problem.gain, problem.vertices
 
     def make_map(a_vertex):
         def apply(x):
             x = as_state(x, problem.d)
-            return a_vertex @ x + problem.b @ loop.exact_control(x)
+            return a_vertex @ x + problem.b @ (k_gain @ (problem.z - problem.a @ x))
         return apply
 
-    n = len(loop.vertices)
-    weights = np.full(n, 1.0 / n)
-    return DiscreteIFS(maps=tuple(make_map(v) for v in loop.vertices),
+    weights = np.full(len(vertices), 1.0 / len(vertices))
+    return DiscreteIFS(maps=tuple(make_map(v) for v in vertices),
                        probs=lambda x: weights)
 
 

@@ -226,6 +226,38 @@ def test_reproduce_flags_override_config_file(tmp_path):
     assert effective["seed"] == 11
 
 
+def test_env_seed_applies_when_file_has_no_seed(tmp_path, monkeypatch):
+    # flag > file > env > 0: a config or spec file without a "seed" key
+    # leaves the environment variable in force, for every subcommand.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"n_trials": 1, "n_iterations": 50,
+                                       "saa_samples": 2, "check_points": 4,
+                                       "check_pairs": 4}))
+    spec = ExperimentConfig().generation.to_dict()
+    del spec["seed"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    problem_path = tmp_path / "problem.json"
+    main(["generate", "--seed", "4", "--out", str(problem_path)])
+
+    def run_all(tag, seed_flag):
+        out = tmp_path / tag
+        assert main(["reproduce-paper", "--config", str(config_path),
+                     "--out", str(out / "exp")] + seed_flag) == 0
+        assert main(["run", str(problem_path), "--config", str(config_path),
+                     "--out", str(out / "run")] + seed_flag) == 0
+        assert main(["generate", "--spec", str(spec_path),
+                     "--out", str(out / "problem.json")] + seed_flag) == 0
+        return out
+
+    monkeypatch.setenv("ERGODIC_SMPC_SEED", "55")
+    from_env = run_all("env", [])
+    monkeypatch.delenv("ERGODIC_SMPC_SEED")
+    from_flag = run_all("flag", ["--seed", "55"])
+    assert json.loads((from_env / "exp" / "config.json").read_text())["seed"] == 55
+    assert tree_hashes(from_env) == tree_hashes(from_flag)
+
+
 def test_reproduce_records_failed_trials(tmp_path):
     # An expanding uncontrollable instance blows up; the run must finish,
     # record the failure, and exit nonzero.

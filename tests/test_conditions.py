@@ -257,7 +257,7 @@ def test_kernel_vertices_equal_perturbed_dynamics(pattern, bound):
                           noise=NoiseSpec(pattern=pattern, bound=bound))
     problem = generate_problem(spec, seed=2)
     extremes = problem.noise.extreme_entries()
-    vertices = problem.closed_loop.vertices
+    vertices = problem.vertices
     assert vertices.shape == (len(extremes), 3, 3)
     for vertex, entries in zip(vertices, extremes):
         assert np.array_equal(vertex, problem.a + problem.noise.as_matrix(entries, 3))

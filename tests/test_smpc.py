@@ -318,6 +318,43 @@ def test_saa_path_blowup_matches_stepping(growth, bound, sim_step, ens_step):
     assert errors[:2] == errors[2:]
 
 
+# The controls are K (z - A_hat x) with a gain solved once per problem; the
+# recomputations below solve R + B'QB afresh with an LU solve instead.  Both
+# are backward stable, so they agree to a few ulps of the O(1) states.
+GAIN_REWRITE_ATOL = 1e-13
+
+
+def _fresh_solve_control(problem, a_hat, x):
+    return np.linalg.solve(problem.normal_matrix,
+                           -problem.b.T @ (problem.q @ (a_hat @ x - problem.z)))
+
+
+def test_exact_control_matches_fresh_normal_equations():
+    for seed in range(20):
+        problem = generate_problem(GenerationSpec.default(), seed=seed)
+        x_star = closed_loop_fixed_point(problem)
+        for x in x_star + make_rng(seed).uniform(-1.0, 1.0, size=(5, 4)):
+            np.testing.assert_allclose(exact_control(problem, x),
+                                       _fresh_solve_control(problem, problem.a, x),
+                                       rtol=0, atol=GAIN_REWRITE_ATOL)
+
+
+def test_saa_path_matches_fresh_normal_equations():
+    problem = generate_problem(GenerationSpec.default(), seed=3)
+    j_samples, n_steps = 100, 10_000
+    x0 = closed_loop_fixed_point(problem) + 0.1
+    traj = simulate(smpc_closed_loop_ifs(problem, j_samples), x0, n_steps, seed=8)
+    rng, x = make_rng(8), x0
+    expected = [x0]
+    for _ in range(n_steps):
+        draws = problem.noise.sample_entries(rng, j_samples + 1)
+        a_bar = problem.a + problem.noise.as_matrix(draws[:-1].mean(axis=0), 4)
+        u = _fresh_solve_control(problem, a_bar, x)
+        x = (problem.a + problem.noise.as_matrix(draws[-1], 4)) @ x + problem.b @ u
+        expected.append(x)
+    np.testing.assert_allclose(traj.states, expected, rtol=0, atol=GAIN_REWRITE_ATOL)
+
+
 def test_kernel_factors_normal_matrix_once(monkeypatch):
     from ergodic_smpc import experiment, smpc
 
