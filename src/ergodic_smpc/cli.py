@@ -4,7 +4,9 @@ Subcommands: generate (draw a problem instance), check (contraction
 conditions), run (one closed-loop simulation), reproduce-paper (the full
 multi-trial experiment), ifs-demo (reference IFS runs with known
 invariant measures).  The seed resolves as flag > config file > the
-ERGODIC_SMPC_SEED environment variable > 0.
+ERGODIC_SMPC_SEED environment variable > 0.  Every other run parameter
+resolves as flag > config file > its ``ExperimentConfig`` default, and an
+invalid value is a usage error (exit 2) before any work starts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .experiment import (
     ExperimentConfig,
     atomic_write_text,
     check_problem,
+    conditions_json,
     emit_run_artifacts,
     run_experiment,
     simulate_and_report,
@@ -56,11 +59,27 @@ def _apply_overrides(config: ExperimentConfig, args, file_data: dict | None) -> 
     updates = {"seed": _resolve_seed(args.seed, file_data)}
     for flag, name in [("trials", "n_trials"), ("iters", "n_iterations"),
                        ("saa_samples", "saa_samples"), ("bins", "n_bins"),
-                       ("windows", "n_windows"), ("tolerance", "tolerance")]:
+                       ("windows", "n_windows"), ("tolerance", "tolerance"),
+                       ("points", "check_points"), ("pairs", "check_pairs")]:
         value = getattr(args, flag, None)
         if value is not None:
             updates[name] = value
     return replace(config, **updates)
+
+
+def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
+    """Defaults, then the --config file, then --smoke, then flags.
+
+    An invalid value exits 2 through ``parser.error``.
+    """
+    data = _load_json(getattr(args, "config", None))
+    try:
+        config = ExperimentConfig.from_dict(data or {})
+        if getattr(args, "smoke", False):
+            config = config.smoke()
+        return _apply_overrides(config, args, data)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def cmd_generate(args) -> int:
@@ -77,14 +96,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, parser: argparse.ArgumentParser) -> int:
+    config = _build_config(args, parser)
     problem = MPCProblem.from_json(Path(args.problem).read_text())
-    seed = _resolve_seed(args.seed)
-    analytic, sampled = check_problem(problem, seed=seed,
-                                      n_points=args.points, n_pairs=args.pairs)
-    combined = {"linear_sufficient": analytic.to_dict(),
-                "average_contraction": sampled.to_dict()}
-    atomic_write_text(args.out, json.dumps(combined, indent=2) + "\n")
+    analytic, sampled = check_problem(problem, config.seed, config)
+    atomic_write_text(args.out, conditions_json(analytic, sampled))
     print(f"linear sufficient condition: {analytic.label} "
           f"(bound {analytic.constants['bound']:.6g})")
     print(f"average contraction: {sampled.label} "
@@ -93,31 +109,23 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, parser: argparse.ArgumentParser) -> int:
+    config = _build_config(args, parser)
     problem = MPCProblem.from_json(Path(args.problem).read_text())
-    data = _load_json(args.config)
-    config = _apply_overrides(ExperimentConfig.from_dict(data or {}), args, data)
     try:
-        run = simulate_and_report(
-            problem, args.out,
-            n_iterations=config.n_iterations, saa_samples=config.saa_samples,
-            n_bins=config.n_bins, n_windows=config.n_windows,
-            tolerance=config.tolerance, burn_in_frac=config.burn_in_frac,
-            seed=config.seed, x0=config.x0)
+        report = simulate_and_report(problem, args.out, config, config.seed)
     except NumericalBlowupError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
-    print(f"diagnostic verdict: {run['diagnostic'].verdict}")
+    print(f"diagnostic verdict: {report.verdict}")
     print(f"wrote artifacts under {args.out}")
     return 0
 
 
-def cmd_reproduce_paper(args) -> int:
-    data = _load_json(args.config)
-    config = ExperimentConfig.from_dict(data or {})
-    if args.smoke:
-        config = config.smoke()
-    config = _apply_overrides(config, args, data)
+def cmd_reproduce_paper(args, parser: argparse.ArgumentParser) -> int:
+    config = _build_config(args, parser)
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     results = run_experiment(config, args.out, workers=args.workers)
     for res in results:
         if res.ok:
@@ -180,14 +188,14 @@ def cmd_ifs_demo(args, parser: argparse.ArgumentParser) -> int:
     else:
         parser.error(f"unknown demo {name!r}; available demos: "
                      f"{', '.join(sorted(DEMOS))} (or a path to an IFS file)")
-    seed = _resolve_seed(args.seed)
-    traj = simulate(ifs, x0, args.iters, seed)
-    run = emit_run_artifacts(traj, args.out, n_bins=args.bins,
-                             n_windows=args.windows, tolerance=args.tolerance,
-                             burn_in_frac=0.1)
-    print(f"diagnostic verdict: {run['diagnostic'].verdict}")
+    config = _build_config(args, parser)
+    traj = simulate(ifs, x0, config.n_iterations, config.seed)
+    report = emit_run_artifacts(traj, args.out, config)
+    print(f"diagnostic verdict: {report.verdict}")
     if name == "bernoulli":
-        ks = ks_distance_to_cdf(traj.states[100:, 0], lambda v: np.clip(v, 0.0, 1.0))
+        # The same burn-in as the diagnostic's.
+        burn = int(len(traj.states) * config.burn_in_frac)
+        ks = ks_distance_to_cdf(traj.states[burn:, 0], lambda v: np.clip(v, 0.0, 1.0))
         print(f"KS distance to uniform[0,1]: {ks:.5f}")
     print(f"wrote artifacts under {args.out}")
     return 0
@@ -209,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="check contraction conditions")
     p_check.add_argument("problem")
     p_check.add_argument("--seed", type=int)
-    p_check.add_argument("--points", type=int, default=128)
-    p_check.add_argument("--pairs", type=int, default=400)
+    p_check.add_argument("--points", type=int)
+    p_check.add_argument("--pairs", type=int)
     p_check.add_argument("--out", default="conditions.json")
 
     def add_run_flags(p, with_trials=False):
@@ -241,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("name", help=f"one of: {', '.join(sorted(DEMOS))}, "
                                      "or a path to an affine IFS JSON file")
     p_demo.add_argument("--iters", type=int, default=100_000)
-    p_demo.add_argument("--bins", type=int, default=10)
-    p_demo.add_argument("--windows", type=int, default=4)
-    p_demo.add_argument("--tolerance", type=float, default=0.05)
+    p_demo.add_argument("--bins", type=int)
+    p_demo.add_argument("--windows", type=int)
+    p_demo.add_argument("--tolerance", type=float)
     p_demo.add_argument("--seed", type=int)
     p_demo.add_argument("--out", default="demo_out")
 
@@ -256,11 +264,11 @@ def main(argv=None) -> int:
     if args.command == "generate":
         return cmd_generate(args)
     if args.command == "check":
-        return cmd_check(args)
+        return cmd_check(args, parser)
     if args.command == "run":
-        return cmd_run(args)
+        return cmd_run(args, parser)
     if args.command == "reproduce-paper":
-        return cmd_reproduce_paper(args)
+        return cmd_reproduce_paper(args, parser)
     if args.command == "ifs-demo":
         return cmd_ifs_demo(args, parser)
     parser.error(f"unknown command {args.command!r}")

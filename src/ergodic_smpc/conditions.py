@@ -257,6 +257,8 @@ def check_average_contraction(ifs: DiscreteIFS, box: DomainBox, n_points: int = 
     carry their own noise are frozen on a fixed substream first.  Passing
     requires the sampled supremum to stay below 1 - margin.
     """
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
     lips = [estimate_lipschitz(_deterministic_map(ifs, i, seed), box, n_pairs,
                                derive_seed(seed, 1, i))
             for i in range(ifs.n_maps)]

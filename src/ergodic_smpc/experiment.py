@@ -6,6 +6,11 @@ trajectory, histograms, plot data) under its own directory.  Trials are
 keyed by (master seed, trial id) substreams and files are written
 atomically, so output trees are byte-identical across reruns and across
 worker counts.
+
+Every run parameter and its default lives in ``ExperimentConfig``, which
+rejects invalid values when built.  The run functions (``check_problem``,
+``simulate_and_report``, ``emit_run_artifacts``, ``run_trial``) take the
+config whole rather than its fields one by one.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "atomic_write_text",
     "atomic_write_with",
     "check_problem",
+    "conditions_json",
     "emit_run_artifacts",
     "simulate_and_report",
     "run_trial",
@@ -82,9 +88,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_trials", "n_iterations", "saa_samples", "n_bins",
-                     "n_windows", "check_points", "check_pairs"):
+                     "check_points", "check_pairs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.n_windows < 2:
+            raise ValueError("n_windows must be >= 2")
+        if not 0.0 <= self.burn_in_frac < 1.0:
+            raise ValueError("burn_in_frac must be in [0, 1)")
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 
@@ -110,16 +120,10 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
-    """Per-trial outcome with relative paths to every emitted artifact."""
+    """Per-trial outcome: condition verdicts, the diagnostic, or the error."""
 
     trial_id: int
     directory: str
-    problem_path: str | None = None
-    conditions_path: str | None = None
-    trajectory_path: str | None = None
-    histogram_path: str | None = None
-    figure_paths: list[str] = field(default_factory=list)
-    diagnostic_path: str | None = None
     analytic_pass: bool | None = None
     sampled_pass: bool | None = None
     bound: float | None = None
@@ -181,64 +185,55 @@ def _write_figure_csv(path, states_j: np.ndarray, edges: np.ndarray) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def emit_run_artifacts(traj, out_dir, *, n_bins: int, n_windows: int,
-                       tolerance: float, burn_in_frac: float) -> dict:
+def emit_run_artifacts(traj, out_dir, config: ExperimentConfig) -> DiagnosticReport:
     """Write the standard artifact set for one simulated trajectory."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = out_dir / "trajectory.csv"
-    atomic_write_with(lambda tmp: write_trajectory_csv(traj, tmp), traj_path)
-    measure = build_histogram(traj, n_bins=n_bins)
-    hist_path = out_dir / "histogram.csv"
-    atomic_write_with(lambda tmp: write_histogram_csv(measure, tmp), hist_path)
-    figure_paths = []
+    atomic_write_with(lambda tmp: write_trajectory_csv(traj, tmp),
+                      out_dir / "trajectory.csv")
+    measure = build_histogram(traj, n_bins=config.n_bins)
+    atomic_write_with(lambda tmp: write_histogram_csv(measure, tmp),
+                      out_dir / "histogram.csv")
     for j in range(traj.dim):
-        fig_path = out_dir / f"figure_state{j}.csv"
-        _write_figure_csv(fig_path, traj.states[:, j], measure.edges[j])
-        figure_paths.append(fig_path)
-    report = stationarity_diagnostic(traj, n_windows=n_windows, n_bins=n_bins,
-                                     tolerance=tolerance, burn_in_frac=burn_in_frac)
-    diag_path = out_dir / "diagnostic.json"
-    atomic_write_text(diag_path, report.to_json() + "\n")
-    return {
-        "trajectory": traj,
-        "measure": measure,
-        "diagnostic": report,
-        "paths": {
-            "trajectory": traj_path,
-            "histogram": hist_path,
-            "figures": figure_paths,
-            "diagnostic": diag_path,
-        },
-    }
+        _write_figure_csv(out_dir / f"figure_state{j}.csv", traj.states[:, j],
+                          measure.edges[j])
+    report = stationarity_diagnostic(traj, n_windows=config.n_windows,
+                                     n_bins=config.n_bins, tolerance=config.tolerance,
+                                     burn_in_frac=config.burn_in_frac)
+    atomic_write_text(out_dir / "diagnostic.json", report.to_json() + "\n")
+    return report
 
 
-def simulate_and_report(problem: MPCProblem, out_dir, *, n_iterations: int,
-                        saa_samples: int, n_bins: int, n_windows: int,
-                        tolerance: float, burn_in_frac: float, seed: int,
-                        x0=None) -> dict:
+def simulate_and_report(problem: MPCProblem, out_dir, config: ExperimentConfig,
+                        seed: int) -> DiagnosticReport:
     """Run the closed loop and emit trajectory, histograms, and diagnostic.
 
     The initial state defaults to the noise-free closed-loop fixed point,
     so the run samples stationary behavior rather than one long transient.
     """
-    if x0 is None:
-        x0 = closed_loop_fixed_point(problem)
-    loop = smpc_closed_loop_ifs(problem, saa_samples)
-    traj = simulate(loop, x0, n_iterations, seed)
-    return emit_run_artifacts(traj, out_dir, n_bins=n_bins, n_windows=n_windows,
-                              tolerance=tolerance, burn_in_frac=burn_in_frac)
+    x0 = closed_loop_fixed_point(problem) if config.x0 is None else config.x0
+    loop = smpc_closed_loop_ifs(problem, config.saa_samples)
+    traj = simulate(loop, x0, config.n_iterations, seed)
+    return emit_run_artifacts(traj, out_dir, config)
 
 
-def check_problem(problem: MPCProblem, seed: int, n_points: int = 128,
-                  n_pairs: int = 400) -> tuple[ConditionReport, ConditionReport]:
+def check_problem(problem: MPCProblem, seed: int,
+                  config: ExperimentConfig = ExperimentConfig()
+                  ) -> tuple[ConditionReport, ConditionReport]:
     """Analytic contraction bound plus sampled check of the extreme-noise loop."""
     analytic = check_linear_sufficient_condition(problem)
     box = DomainBox.cube(_CHECK_BOX[0], _CHECK_BOX[1], problem.d)
     sampled = check_average_contraction(
         extreme_noise_closed_loop_ifs(problem), box,
-        n_points=n_points, n_pairs=n_pairs, seed=seed)
+        n_points=config.check_points, n_pairs=config.check_pairs, seed=seed)
     return analytic, sampled
+
+
+def conditions_json(analytic: ConditionReport, sampled: ConditionReport) -> str:
+    """Text of ``conditions.json``: both reports of ``check_problem``."""
+    combined = {"linear_sufficient": analytic.to_dict(),
+                "average_contraction": sampled.to_dict()}
+    return json.dumps(combined, indent=2) + "\n"
 
 
 def run_trial(config: ExperimentConfig, trial_id: int, out_root) -> TrialResult:
@@ -250,33 +245,18 @@ def run_trial(config: ExperimentConfig, trial_id: int, out_root) -> TrialResult:
         problem = generate_problem(config.generation,
                                    seed=derive_seed(config.seed, trial_id, 0))
         atomic_write_text(trial_dir / "problem.json", problem.to_json() + "\n")
-        result.problem_path = f"{trial_dir.name}/problem.json"
 
         analytic, sampled = check_problem(
-            problem, seed=derive_seed(config.seed, trial_id, 1),
-            n_points=config.check_points, n_pairs=config.check_pairs)
-        combined = {"linear_sufficient": analytic.to_dict(),
-                    "average_contraction": sampled.to_dict()}
+            problem, derive_seed(config.seed, trial_id, 1), config)
         atomic_write_text(trial_dir / "conditions.json",
-                          json.dumps(combined, indent=2) + "\n")
-        result.conditions_path = f"{trial_dir.name}/conditions.json"
+                          conditions_json(analytic, sampled))
         result.analytic_pass = analytic.passed
         result.sampled_pass = sampled.passed
         result.bound = analytic.constants["bound"]
         result.lambda_hat = sampled.constants["lambda_hat"]
 
-        run = simulate_and_report(
-            problem, trial_dir,
-            n_iterations=config.n_iterations, saa_samples=config.saa_samples,
-            n_bins=config.n_bins, n_windows=config.n_windows,
-            tolerance=config.tolerance, burn_in_frac=config.burn_in_frac,
-            seed=derive_seed(config.seed, trial_id, 2),
-            x0=config.x0)
-        result.trajectory_path = f"{trial_dir.name}/trajectory.csv"
-        result.histogram_path = f"{trial_dir.name}/histogram.csv"
-        result.figure_paths = [f"{trial_dir.name}/{p.name}" for p in run["paths"]["figures"]]
-        result.diagnostic_path = f"{trial_dir.name}/diagnostic.json"
-        diag: DiagnosticReport = run["diagnostic"]
+        diag = simulate_and_report(problem, trial_dir, config,
+                                   derive_seed(config.seed, trial_id, 2))
         result.stabilizing = diag.verdict == "stabilizing"
         result.tv_last = [float(v) for v in diag.distances[-1]]
     except Exception as exc:  # trial failures are recorded, not fatal
@@ -308,8 +288,11 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> list[
     """Run every trial, then write config, summary table, and manifest.
 
     Trial directories and file contents depend only on the config, never
-    on the worker count or the output location.
+    on the worker count or the output location.  ``workers < 1`` raises
+    ``ValueError`` before anything is written.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / "config.json",

@@ -66,16 +66,21 @@ def as_state(x, dim: int | None = None) -> np.ndarray:
 
 
 def _accepts_rng(fn: Callable) -> bool:
-    """True when a map takes the step generator as a second argument."""
+    """True when a map takes the step generator as a second argument.
+
+    That is a map with ``*args`` or with two required positional
+    parameters; an optional second parameter keeps its default.
+    """
     try:
         params = list(inspect.signature(fn).parameters.values())
     except (TypeError, ValueError):
         return False
-    positional = [p for p in params
-                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    required = [p for p in params
+                if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+                and p.default is p.empty]
     if any(p.kind == p.VAR_POSITIONAL for p in params):
         return True
-    return len(positional) >= 2
+    return len(required) >= 2
 
 
 @dataclass(frozen=True)

@@ -297,6 +297,13 @@ def test_ifs_demo_bernoulli(tmp_path, capsys):
     assert (out / "diagnostic.json").exists()
 
 
+def test_ifs_demo_short_run(tmp_path, capsys):
+    # The KS line takes the diagnostic's burn-in, so a short run has samples.
+    assert main(["ifs-demo", "bernoulli", "--iters", "60", "--seed", "1",
+                 "--out", str(tmp_path / "demo")]) == 0
+    assert "KS distance to uniform" in capsys.readouterr().out
+
+
 def test_ifs_demo_unknown_name_lists_demos(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ifs-demo", "nosuchdemo", "--out", str(tmp_path / "x")])
@@ -318,6 +325,43 @@ def test_ifs_demo_custom_file(tmp_path):
                  "--out", str(out)]) == 0
     traj = read_trajectory_csv(out / "trajectory.csv")
     assert traj.states.min() >= 0.0 and traj.states.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# invalid run parameters
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fields", [{"n_windows": 1}, {"burn_in_frac": 1.0},
+                                    {"burn_in_frac": -0.1}, {"n_bins": 0},
+                                    {"check_points": 0}])
+def test_config_rejects_invalid_fields(fields):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**fields)
+
+
+def test_run_experiment_rejects_zero_workers(tmp_path):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_experiment(ExperimentConfig().smoke(), tmp_path / "exp", workers=0)
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ifs-demo", "bernoulli", "--bins", "0"],
+    ["ifs-demo", "bernoulli", "--windows", "1"],
+    ["reproduce-paper", "--trials", "0"],
+    ["reproduce-paper", "--smoke", "--workers", "0"],
+    ["reproduce-paper", "--smoke", "--config", "bad_config.json"],
+    ["run", "problem.json", "--iters", "100", "--config", "bad_config.json"],
+    ["check", "problem.json", "--points", "0"],
+])
+def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--seed", "4", "--out", "problem.json"])
+    Path("bad_config.json").write_text(json.dumps({"burn_in_frac": 1.5}))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", "out"])
+    assert exc.value.code == 2
+    assert not Path("out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,12 @@ def test_average_contraction_expanding_fails_with_witness():
     assert report.witness["x"] is not None
 
 
+def test_average_contraction_requires_a_point():
+    ifs = DiscreteIFS(maps=(lambda x: x / 2,), probs=lambda x: np.array([1.0]))
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        check_average_contraction(ifs, UNIT, n_points=0, n_pairs=50, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # minimum probability
 # ---------------------------------------------------------------------------

@@ -6,14 +6,22 @@ Refresh the digest only with a change that states why its outputs differ.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from ergodic_smpc.cli import main
+from ergodic_smpc.experiment import ExperimentConfig
 
 SMOKE_SEED_7_DIGEST = "fcd2a44567242bf7acaf45a7db5a47ab0215e9500b8138558ca101ce50ec872f"
 # One trial at the default 10 000 steps: the SAA noise is drawn in blocks
 # of 1024 steps, which the 1000-step smoke run never crosses.
 TRIAL_SEED_7_DIGEST = "dce7b5a420fe0d4ed73fffc528d56377b9b810318e20ae800154397168c84832"
+# The other subcommands that write artifacts: the tree of ``ifs-demo
+# bernoulli --seed 4 --iters 5000`` and, on the problem of ``generate --seed
+# 4``, the tree of ``run --iters 2000 --seed 3`` and the file of ``check --seed 0``.
+DEMO_SEED_4_DIGEST = "0459e81a7aa3db710c7c3dd35a9592ea11af7566f14ed7d3f92f153a9f358309"
+RUN_SEED_3_DIGEST = "72b9a526ed20ade141e93ad7094141042eb3d0a8fc78086aeb24b7add81023be"
+CHECK_SEED_0_DIGEST = "192c2aa088cf288ae6bb1fb88c4b1c1b1f963104711eafff86bd91b3705114ae"
 
 
 def tree_digest(root) -> str:
@@ -39,3 +47,42 @@ def test_default_length_trial_matches_golden_digest(tmp_path, capsys):
     assert main(["reproduce-paper", "--trials", "1", "--seed", "7", "--out", str(out)]) == 0
     capsys.readouterr()
     assert tree_digest(out) == TRIAL_SEED_7_DIGEST
+
+
+def _problem(tmp_path) -> Path:
+    path = tmp_path / "problem.json"
+    assert main(["generate", "--seed", "4", "--out", str(path)]) == 0
+    return path
+
+
+def test_ifs_demo_matches_golden_digest_with_config_defaults(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["ifs-demo", "bernoulli", "--seed", "4", "--iters", "5000",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert tree_digest(out) == DEMO_SEED_4_DIGEST
+    # No run-parameter flag was given, so the config's defaults apply.
+    defaults = ExperimentConfig()
+    diagnostic = json.loads((out / "diagnostic.json").read_text())
+    assert diagnostic["n_bins"] == defaults.n_bins
+    assert diagnostic["tolerance"] == defaults.tolerance
+    assert diagnostic["burn_in_frac"] == defaults.burn_in_frac
+
+
+def test_run_matches_golden_digest(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", str(_problem(tmp_path)), "--iters", "2000", "--seed", "3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert tree_digest(out) == RUN_SEED_3_DIGEST
+
+
+def test_check_matches_golden_digest_with_config_defaults(tmp_path, capsys):
+    out = tmp_path / "conditions.json"
+    assert main(["check", str(_problem(tmp_path)), "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CHECK_SEED_0_DIGEST
+    sampling = json.loads(out.read_text())["average_contraction"]["sampling"]
+    defaults = ExperimentConfig()
+    assert (sampling["n_points"], sampling["n_pairs"]) == (defaults.check_points,
+                                                           defaults.check_pairs)

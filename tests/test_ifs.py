@@ -147,6 +147,17 @@ def test_simulate_geometric_contraction():
     assert traj.selections == [0, 0, 0]
 
 
+def test_only_required_second_parameter_receives_generator():
+    # An optional second parameter keeps its default; *args takes the generator.
+    ifs = DiscreteIFS(maps=(lambda x, scale=0.5: x * scale,
+                            lambda x, rng: x + rng.random(),
+                            lambda *args: args[0]),
+                      probs=lambda x: np.array([1.0, 0.0, 0.0]))
+    assert [ifs.map_accepts_rng(i) for i in range(3)] == [False, True, True]
+    traj = simulate(ifs, [1.0], 3, seed=0)
+    assert np.array_equal(traj.states[:, 0], [1.0, 0.5, 0.25, 0.125])
+
+
 def test_simulate_zero_steps():
     ifs = DiscreteIFS(maps=(lambda x: x / 2,), probs=lambda x: np.array([1.0]))
     traj = simulate(ifs, [3.0], 0, seed=0)
