@@ -5,8 +5,8 @@ conditions), run (one closed-loop simulation), reproduce-paper (the full
 multi-trial experiment), ifs-demo (reference IFS runs with known
 invariant measures).  The seed resolves as flag > config file > the
 ERGODIC_SMPC_SEED environment variable > 0.  Every other run parameter
-resolves as flag > config file > its ``ExperimentConfig`` default, and an
-invalid value is a usage error (exit 2) before any work starts.
+resolves as flag > config file > the ``ExperimentConfig`` field named by the
+flag's ``dest``.  A bad value or input file exits 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,50 +31,44 @@ from .experiment import (
     run_experiment,
     simulate_and_report,
 )
-from .ifs import DiscreteIFS, simulate
+from .ifs import DiscreteIFS, evaluate_probs, simulate
 from .smpc import GenerationSpec, MPCProblem, generate_problem
 
 _SEED_ENV = "ERGODIC_SMPC_SEED"
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get(_SEED_ENV)
-    return int(raw) if raw else None
-
-
-def _resolve_seed(flag_seed: int | None, file_data: dict | None = None) -> int:
+def _resolve_seed(flag_seed: int | None, file_data: dict) -> int:
     """The seed rule: flag > the file's "seed" key > ERGODIC_SMPC_SEED > 0."""
-    file_seed = None if file_data is None else file_data.get("seed")
-    for candidate in (flag_seed, file_seed, _env_seed()):
+    for candidate in (flag_seed, file_data.get("seed"), os.environ.get(_SEED_ENV) or None):
         if candidate is not None:
             return int(candidate)
     return 0
 
 
-def _load_json(path: str | None) -> dict | None:
-    return None if path is None else json.loads(Path(path).read_text())
+def _read(path: str, parse, parser: argparse.ArgumentParser):
+    """``parse`` of the JSON in ``path``; a missing or bad file exits 2."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        parser.error(f"{path}: {type(exc).__name__}: {exc}")
 
 
-def _apply_overrides(config: ExperimentConfig, args, file_data: dict | None) -> ExperimentConfig:
-    updates = {"seed": _resolve_seed(args.seed, file_data)}
-    for flag, name in [("trials", "n_trials"), ("iters", "n_iterations"),
-                       ("saa_samples", "saa_samples"), ("bins", "n_bins"),
-                       ("windows", "n_windows"), ("tolerance", "tolerance"),
-                       ("points", "check_points"), ("pairs", "check_pairs")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[name] = value
+def _apply_overrides(config: ExperimentConfig, args, file_data: dict) -> ExperimentConfig:
+    updates = {f.name: getattr(args, f.name) for f in fields(config)
+               if getattr(args, f.name, None) is not None}
+    updates["seed"] = _resolve_seed(args.seed, file_data)
     return replace(config, **updates)
 
 
 def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
     """Defaults, then the --config file, then --smoke, then flags.
 
-    An invalid value exits 2 through ``parser.error``.
+    An invalid file or value exits 2 through ``parser.error``.
     """
-    data = _load_json(getattr(args, "config", None))
+    data, config = {}, ExperimentConfig()
+    if getattr(args, "config", None) is not None:
+        data, config = _read(args.config, lambda d: (d, ExperimentConfig.from_dict(d)), parser)
     try:
-        config = ExperimentConfig.from_dict(data or {})
         if getattr(args, "smoke", False):
             config = config.smoke()
         return _apply_overrides(config, args, data)
@@ -82,9 +76,10 @@ def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
         parser.error(str(exc))
 
 
-def cmd_generate(args) -> int:
-    data = _load_json(args.spec)
-    spec = GenerationSpec.default() if data is None else GenerationSpec.from_dict(data)
+def cmd_generate(args, parser: argparse.ArgumentParser) -> int:
+    data, spec = {}, GenerationSpec.default()
+    if args.spec is not None:
+        data, spec = _read(args.spec, lambda d: (d, GenerationSpec.from_dict(d)), parser)
     problem = generate_problem(spec, seed=_resolve_seed(args.seed, data))
     atomic_write_text(args.out, problem.to_json() + "\n")
     for name, mat in [("A", problem.a), ("Q", problem.q), ("R", problem.r)]:
@@ -98,7 +93,7 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args, parser: argparse.ArgumentParser) -> int:
     config = _build_config(args, parser)
-    problem = MPCProblem.from_json(Path(args.problem).read_text())
+    problem = _read(args.problem, MPCProblem.from_dict, parser)
     analytic, sampled = check_problem(problem, config.seed, config)
     atomic_write_text(args.out, conditions_json(analytic, sampled))
     print(f"linear sufficient condition: {analytic.label} "
@@ -111,7 +106,7 @@ def cmd_check(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_run(args, parser: argparse.ArgumentParser) -> int:
     config = _build_config(args, parser)
-    problem = MPCProblem.from_json(Path(args.problem).read_text())
+    problem = _read(args.problem, MPCProblem.from_dict, parser)
     try:
         report = simulate_and_report(problem, args.out, config, config.seed)
     except NumericalBlowupError as exc:
@@ -162,9 +157,8 @@ DEMOS = {
 }
 
 
-def _load_ifs_file(path: str) -> tuple[DiscreteIFS, np.ndarray]:
-    """Affine IFS description: maps as matrix/offset pairs, constant probs."""
-    data = json.loads(Path(path).read_text())
+def _load_ifs_file(data: dict) -> tuple[DiscreteIFS, np.ndarray]:
+    """Affine IFS description (matrix/offset maps, constant probs), checked at x0."""
     probs = np.asarray(data["probs"], dtype=float)
 
     def make_map(matrix, offset):
@@ -176,6 +170,9 @@ def _load_ifs_file(path: str) -> tuple[DiscreteIFS, np.ndarray]:
     ifs = DiscreteIFS(maps=maps, probs=lambda x: probs)
     dim = len(data["maps"][0]["offset"])
     x0 = np.asarray(data.get("x0", [0.0] * dim), dtype=float)
+    evaluate_probs(ifs, x0)
+    if any(np.shape(f(x0)) != x0.shape for f in maps):
+        raise ValueError(f"every map must keep the state's dimension {x0.shape}")
     return ifs, x0
 
 
@@ -184,7 +181,7 @@ def cmd_ifs_demo(args, parser: argparse.ArgumentParser) -> int:
     if name in DEMOS:
         ifs, x0 = DEMOS[name]()
     elif Path(name).is_file():
-        ifs, x0 = _load_ifs_file(name)
+        ifs, x0 = _read(name, _load_ifs_file, parser)
     else:
         parser.error(f"unknown demo {name!r}; available demos: "
                      f"{', '.join(sorted(DEMOS))} (or a path to an IFS file)")
@@ -193,8 +190,7 @@ def cmd_ifs_demo(args, parser: argparse.ArgumentParser) -> int:
     report = emit_run_artifacts(traj, args.out, config)
     print(f"diagnostic verdict: {report.verdict}")
     if name == "bernoulli":
-        # The same burn-in as the diagnostic's.
-        burn = int(len(traj.states) * config.burn_in_frac)
+        burn = report.windows[0][0]  # the diagnostic's burn-in
         ks = ks_distance_to_cdf(traj.states[burn:, 0], lambda v: np.clip(v, 0.0, 1.0))
         print(f"KS distance to uniform[0,1]: {ks:.5f}")
     print(f"wrote artifacts under {args.out}")
@@ -213,47 +209,50 @@ def build_parser() -> argparse.ArgumentParser:
                                       "reference four-state instance)")
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", default="problem.json")
+    p_gen.set_defaults(command=cmd_generate)
 
     p_check = sub.add_parser("check", help="check contraction conditions")
     p_check.add_argument("problem")
     p_check.add_argument("--seed", type=int)
-    p_check.add_argument("--points", type=int)
-    p_check.add_argument("--pairs", type=int)
+    p_check.add_argument("--points", dest="check_points", type=int)
+    p_check.add_argument("--pairs", dest="check_pairs", type=int)
     p_check.add_argument("--out", default="conditions.json")
+    p_check.set_defaults(command=cmd_check)
 
-    def add_run_flags(p, with_trials=False):
-        if with_trials:
-            p.add_argument("--trials", type=int)
-        p.add_argument("--iters", type=int)
-        p.add_argument("--saa-samples", dest="saa_samples", type=int)
-        p.add_argument("--bins", type=int)
-        p.add_argument("--windows", type=int)
+    def add_diagnostic_flags(p):
+        p.add_argument("--iters", dest="n_iterations", type=int)
+        p.add_argument("--bins", dest="n_bins", type=int)
+        p.add_argument("--windows", dest="n_windows", type=int)
         p.add_argument("--tolerance", type=float)
         p.add_argument("--seed", type=int)
+
+    def add_run_flags(p):
+        add_diagnostic_flags(p)
+        p.add_argument("--saa-samples", dest="saa_samples", type=int)
         p.add_argument("--config", help="experiment config JSON; flags override")
 
     p_run = sub.add_parser("run", help="simulate one closed loop and emit artifacts")
     p_run.add_argument("problem")
     add_run_flags(p_run)
     p_run.add_argument("--out", default="run_out")
+    p_run.set_defaults(command=cmd_run)
 
     p_rep = sub.add_parser("reproduce-paper",
                            help="run the full multi-trial reference experiment")
-    add_run_flags(p_rep, with_trials=True)
+    p_rep.add_argument("--trials", dest="n_trials", type=int)
+    add_run_flags(p_rep)
     p_rep.add_argument("--workers", type=int, default=1)
     p_rep.add_argument("--smoke", action="store_true",
                        help="CI scale: 1 trial, 1000 iterations, 20 SAA samples")
     p_rep.add_argument("--out", default="experiment_out")
+    p_rep.set_defaults(command=cmd_reproduce_paper)
 
     p_demo = sub.add_parser("ifs-demo", help="simulate a reference IFS")
     p_demo.add_argument("name", help=f"one of: {', '.join(sorted(DEMOS))}, "
                                      "or a path to an affine IFS JSON file")
-    p_demo.add_argument("--iters", type=int, default=100_000)
-    p_demo.add_argument("--bins", type=int)
-    p_demo.add_argument("--windows", type=int)
-    p_demo.add_argument("--tolerance", type=float)
-    p_demo.add_argument("--seed", type=int)
+    add_diagnostic_flags(p_demo)
     p_demo.add_argument("--out", default="demo_out")
+    p_demo.set_defaults(command=cmd_ifs_demo, n_iterations=100_000)
 
     return parser
 
@@ -261,18 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "check":
-        return cmd_check(args, parser)
-    if args.command == "run":
-        return cmd_run(args, parser)
-    if args.command == "reproduce-paper":
-        return cmd_reproduce_paper(args, parser)
-    if args.command == "ifs-demo":
-        return cmd_ifs_demo(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return args.command(args, parser)
 
 
 def entry_point() -> None:

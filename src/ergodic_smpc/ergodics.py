@@ -30,6 +30,7 @@ __all__ = [
     "ks_distance_to_cdf",
     "wasserstein1_1d",
     "prefix_windows",
+    "diagnostic_windows",
     "stationarity_diagnostic",
     "write_histogram_csv",
     "read_histogram_csv",
@@ -272,6 +273,25 @@ class DiagnosticReport:
         return cls.from_dict(json.loads(text))
 
 
+def diagnostic_windows(n: int, n_windows: int,
+                       burn_in_frac: float) -> list[tuple[int, int]]:
+    """The diagnostic's cumulative windows over ``n`` states, after burn-in.
+
+    Raises ``ValueError`` unless every window is well defined and non-empty.
+    """
+    if n_windows < 2:
+        raise ValueError("n_windows must be >= 2")
+    if not 0.0 <= burn_in_frac < 1.0:
+        raise ValueError("burn_in_frac must be in [0, 1)")
+    if n < 10 * n_windows:
+        raise ValueError(f"trajectory of length {n} too short for {n_windows} windows")
+    burn = int(n * burn_in_frac)
+    width = (n - burn) // n_windows
+    if width < 1:
+        raise ValueError("windows would be empty after burn-in")
+    return prefix_windows(burn, [burn + (k + 1) * width for k in range(n_windows)])
+
+
 def stationarity_diagnostic(traj, n_windows: int = 4, n_bins: int = 10,
                             tolerance: float = 0.05,
                             burn_in_frac: float = 0.1) -> DiagnosticReport:
@@ -285,18 +305,7 @@ def stationarity_diagnostic(traj, n_windows: int = 4, n_bins: int = 10,
     least-squares slope.
     """
     states = _states_array(traj)
-    n = states.shape[0]
-    if n_windows < 2:
-        raise ValueError("n_windows must be >= 2")
-    if not 0.0 <= burn_in_frac < 1.0:
-        raise ValueError("burn_in_frac must be in [0, 1)")
-    if n < 10 * n_windows:
-        raise ValueError(f"trajectory of length {n} too short for {n_windows} windows")
-    burn = int(n * burn_in_frac)
-    width = (n - burn) // n_windows
-    if width < 1:
-        raise ValueError("windows would be empty after burn-in")
-    windows = prefix_windows(burn, [burn + (k + 1) * width for k in range(n_windows)])
+    windows = diagnostic_windows(states.shape[0], n_windows, burn_in_frac)
     measures = windowed_measures(states, windows, n_bins=n_bins)
     distances = np.stack([tv_distance(measures[i], measures[i + 1])
                           for i in range(len(measures) - 1)])

@@ -34,6 +34,7 @@ from .conditions import (
 from .ergodics import (
     DiagnosticReport,
     build_histogram,
+    diagnostic_windows,
     stationarity_diagnostic,
     write_histogram_csv,
 )
@@ -91,10 +92,7 @@ class ExperimentConfig:
                      "check_points", "check_pairs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.n_windows < 2:
-            raise ValueError("n_windows must be >= 2")
-        if not 0.0 <= self.burn_in_frac < 1.0:
-            raise ValueError("burn_in_frac must be in [0, 1)")
+        diagnostic_windows(self.n_iterations + 1, self.n_windows, self.burn_in_frac)
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 

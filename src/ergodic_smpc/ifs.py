@@ -184,7 +184,7 @@ def evaluate_probs(ifs: DiscreteIFS, x: np.ndarray) -> np.ndarray:
     total = p.sum()
     if abs(total - 1.0) > _PROB_SUM_TOL:
         raise InvalidProbabilityError(
-            f"probabilities at {x} sum to {total!r}, outside 1 +/- {_PROB_SUM_TOL}")
+            f"probabilities at {x} sum to {float(total)}, outside 1 +/- {_PROB_SUM_TOL}")
     return p / total
 
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from ergodic_smpc import MPCProblem, read_histogram_csv, read_trajectory_csv
-from ergodic_smpc.cli import main
+from ergodic_smpc.cli import build_parser, main
 from ergodic_smpc.conditions import ConditionReport
 from ergodic_smpc.ergodics import DiagnosticReport
 from ergodic_smpc.experiment import ExperimentConfig, run_experiment
@@ -109,7 +111,6 @@ def test_check_expanding_instance_fails(tmp_path, capsys):
 def test_run_zero_noise_converges_to_fixed_point(tmp_path):
     from ergodic_smpc import closed_loop_fixed_point, generate_problem
     from ergodic_smpc.smpc import GenerationSpec, NoiseSpec
-    import dataclasses
 
     spec = GenerationSpec.default()
     spec = dataclasses.replace(spec, noise=NoiseSpec(pattern=((0, 1), (2, 2)),
@@ -333,7 +334,8 @@ def test_ifs_demo_custom_file(tmp_path):
 
 @pytest.mark.parametrize("fields", [{"n_windows": 1}, {"burn_in_frac": 1.0},
                                     {"burn_in_frac": -0.1}, {"n_bins": 0},
-                                    {"check_points": 0}])
+                                    {"check_points": 0}, {"n_iterations": 30},
+                                    {"n_iterations": 100, "burn_in_frac": 0.99}])
 def test_config_rejects_invalid_fields(fields):
     with pytest.raises(ValueError):
         ExperimentConfig(**fields)
@@ -353,15 +355,52 @@ def test_run_experiment_rejects_zero_workers(tmp_path):
     ["reproduce-paper", "--smoke", "--config", "bad_config.json"],
     ["run", "problem.json", "--iters", "100", "--config", "bad_config.json"],
     ["check", "problem.json", "--points", "0"],
+    ["reproduce-paper", "--config", "typo_config.json"],
+    ["reproduce-paper", "--config", "missing.json"],
+    ["reproduce-paper", "--config", "truncated.json"],
+    ["generate", "--spec", "zero_r_spec.json"],
+    ["generate", "--spec", "no_q_spec.json"],
+    ["check", "zero_r_problem.json"],
+    ["run", "zero_r_problem.json"],
+    ["ifs-demo", "half_probs_ifs.json"],
+    ["ifs-demo", "bernoulli", "--iters", "30"],
+    ["reproduce-paper", "--config", "late_burn_config.json", "--iters", "100"],
 ])
 def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     main(["generate", "--seed", "4", "--out", "problem.json"])
     Path("bad_config.json").write_text(json.dumps({"burn_in_frac": 1.5}))
+    Path("typo_config.json").write_text(json.dumps({"n_trial": 2}))
+    Path("truncated.json").write_text('{"n_trials": 2')
+    Path("late_burn_config.json").write_text(json.dumps({"burn_in_frac": 0.99}))
+    spec = ExperimentConfig().generation.to_dict()
+    Path("zero_r_spec.json").write_text(json.dumps({**spec, "lam_r": [0.5, 0.0, 1.0, 1.5]}))
+    del spec["lam_q"]
+    Path("no_q_spec.json").write_text(json.dumps(spec))
+    Path("zero_r_problem.json").write_text(json.dumps({
+        "a": [[0.5]], "b": [[1.0]], "q": [[1.0]], "r": [[0.0]], "z": [0.0],
+        "noise": {"pattern": [], "bound": 0.0}}))
+    Path("half_probs_ifs.json").write_text(json.dumps({
+        "maps": [{"matrix": [[0.5]], "offset": [0.0]},
+                 {"matrix": [[0.5]], "offset": [0.5]}],
+        "probs": [0.25, 0.25]}))
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", "out"])
     assert exc.value.code == 2
     assert not Path("out").exists()
+
+
+def test_every_run_flag_dest_is_a_config_field():
+    # _apply_overrides reads flags by field name, so a dest that names no
+    # field would be silently ignored.
+    allowed = ({f.name for f in dataclasses.fields(ExperimentConfig)}
+               | {"command", "config", "out", "problem", "name", "workers", "smoke"})
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in ("check", "run", "reproduce-paper", "ifs-demo"):
+        dests = {a.dest for a in subparsers.choices[command]._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        assert dests <= allowed, (command, dests - allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +408,6 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ar
 # ---------------------------------------------------------------------------
 
 def test_experiment_tree_identical_across_workers(tmp_path):
-    import dataclasses
-
     config = dataclasses.replace(ExperimentConfig(seed=7).smoke(), n_trials=2)
     trees = []
     for name, workers in [("w1", 1), ("w2", 2)]:

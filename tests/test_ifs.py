@@ -73,7 +73,7 @@ def test_zero_probability_map_never_selected():
 def test_invalid_probability_vector_rejected():
     ifs = DiscreteIFS(maps=(lambda x: x, lambda x: x),
                       probs=lambda x: np.array([0.4, 0.4]))
-    with pytest.raises(InvalidProbabilityError):
+    with pytest.raises(InvalidProbabilityError, match=r"sum to 0\.8,"):
         step_discrete(ifs, [1.0], make_rng(0))
     with pytest.raises(InvalidProbabilityError):
         step_discrete(DiscreteIFS(maps=(lambda x: x, lambda x: x),
