@@ -31,7 +31,7 @@ from .experiment import (
     run_experiment,
     simulate_and_report,
 )
-from .ifs import DiscreteIFS, evaluate_probs, simulate
+from .ifs import DiscreteIFS, simulate
 from .smpc import GenerationSpec, MPCProblem, generate_problem
 
 _SEED_ENV = "ERGODIC_SMPC_SEED"
@@ -138,16 +138,14 @@ def cmd_reproduce_paper(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _bernoulli_ifs() -> tuple[DiscreteIFS, np.ndarray]:
-    probs = np.array([0.5, 0.5])
     ifs = DiscreteIFS(maps=(lambda x: x / 2, lambda x: (x + 1) / 2),
-                      probs=lambda x: probs)
+                      probs=np.array([0.5, 0.5]))
     return ifs, np.array([0.0])
 
 
 def _cantor_ifs() -> tuple[DiscreteIFS, np.ndarray]:
-    probs = np.array([0.5, 0.5])
     ifs = DiscreteIFS(maps=(lambda x: x / 3, lambda x: (x + 2) / 3),
-                      probs=lambda x: probs)
+                      probs=np.array([0.5, 0.5]))
     return ifs, np.array([0.0])
 
 
@@ -159,18 +157,15 @@ DEMOS = {
 
 def _load_ifs_file(data: dict) -> tuple[DiscreteIFS, np.ndarray]:
     """Affine IFS description (matrix/offset maps, constant probs), checked at x0."""
-    probs = np.asarray(data["probs"], dtype=float)
-
     def make_map(matrix, offset):
         matrix = np.asarray(matrix, dtype=float)
         offset = np.asarray(offset, dtype=float)
         return lambda x: matrix @ x + offset
 
     maps = tuple(make_map(m["matrix"], m["offset"]) for m in data["maps"])
-    ifs = DiscreteIFS(maps=maps, probs=lambda x: probs)
+    ifs = DiscreteIFS(maps=maps, probs=data["probs"])
     dim = len(data["maps"][0]["offset"])
     x0 = np.asarray(data.get("x0", [0.0] * dim), dtype=float)
-    evaluate_probs(ifs, x0)
     if any(np.shape(f(x0)) != x0.shape for f in maps):
         raise ValueError(f"every map must keep the state's dimension {x0.shape}")
     return ifs, x0

@@ -16,6 +16,8 @@ config whole rather than its fields one by one.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -88,10 +90,19 @@ class ExperimentConfig:
     check_pairs: int = 400
 
     def __post_init__(self):
-        for name in ("n_trials", "n_iterations", "saa_samples", "n_bins",
-                     "check_points", "check_pairs"):
+        counts = ("n_trials", "n_iterations", "saa_samples", "n_bins",
+                  "check_points", "check_pairs")
+        for name in counts + ("n_windows",):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        tol = self.tolerance
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not (math.isfinite(tol) and tol > 0)):
+            raise ValueError(f"tolerance must be a finite number > 0, got {tol!r}")
         diagnostic_windows(self.n_iterations + 1, self.n_windows, self.burn_in_frac)
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
@@ -143,6 +154,7 @@ def atomic_write_text(path, text: str) -> None:
 def atomic_write_with(writer: Callable, path) -> None:
     """Run ``writer(tmp_path)`` then rename the temp file onto ``path``."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     os.close(fd)
     try:

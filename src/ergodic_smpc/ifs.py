@@ -1,11 +1,13 @@
 """State-dependent iterated function systems and their simulation.
 
 A discrete IFS is a finite family of transformations together with a
-state-dependent selection probability map; a continuous IFS is a single
-parametrized transformation whose parameter is drawn from a
-state-dependent distribution.  Both step the state forward one draw at a
-time; a continuous IFS may also supply ``advance``, a whole-path kernel
-that gives the states of that stepping in one call.  All randomness flows
+state-dependent selection probability map, or a constant probability
+vector; a continuous IFS is a single parametrized transformation whose
+parameter is drawn from a state-dependent distribution.  Both step the
+state forward one draw at a time; a continuous IFS may also supply
+``advance``, a whole-path kernel that gives the states of that stepping
+in one call, and a discrete IFS with a constant vector and pure maps is
+stepped a block of draws at a time.  All randomness flows
 through explicitly keyed generators, so trajectories and particle
 ensembles are bit-reproducible and independent of scheduling order.
 """
@@ -51,6 +53,11 @@ _PROB_NEG_TOL = 1e-12
 # Trajectory CSV rows formatted per write; larger blocks raise peak memory
 # without writing faster.
 _CSV_BLOCK = 1024
+# Steps whose selections a constant-probability walk draws at once; the
+# uniforms of a block are its only extra memory.
+_WALK_BLOCK = 1024
+# Errors a failing step re-raises with its step index prefixed.
+_STEP_ERRORS = (InvalidProbabilityError, NumericalBlowupError, ParameterDomainError)
 
 
 def as_state(x, dim: int | None = None) -> np.ndarray:
@@ -88,12 +95,15 @@ class DiscreteIFS:
     """Finite map family with state-dependent selection probabilities.
 
     ``probs(x)`` must return a probability vector of length ``n_maps``.
-    Maps are either pure transformations ``S(x)`` or noise-carrying
-    transformations ``S(x, rng)`` drawing from the step generator.
+    ``probs`` may also be given as that vector itself, for probabilities
+    that do not depend on the state: it is then checked once, here, and
+    the attribute becomes ``lambda x: vector``.  Maps are either pure
+    transformations ``S(x)`` or noise-carrying transformations
+    ``S(x, rng)`` drawing from the step generator.
     """
 
     maps: tuple[Callable, ...]
-    probs: Callable[[np.ndarray], np.ndarray]
+    probs: Callable[[np.ndarray], np.ndarray] | np.ndarray
 
     def __post_init__(self):
         maps = tuple(self.maps)
@@ -101,6 +111,13 @@ class DiscreteIFS:
             raise ValueError("an IFS needs at least one map")
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_rng_aware", tuple(_accepts_rng(m) for m in maps))
+        vector = None
+        if not callable(self.probs):
+            given = np.array(self.probs, dtype=float).ravel()
+            given.setflags(write=False)
+            vector = _checked_probs(given, len(maps), None)
+            object.__setattr__(self, "probs", lambda x: given)
+        object.__setattr__(self, "_probs_vector", vector)
 
     @property
     def n_maps(self) -> int:
@@ -170,31 +187,43 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def evaluate_probs(ifs: DiscreteIFS, x: np.ndarray) -> np.ndarray:
-    """Evaluate and validate the selection probabilities at x."""
-    p = np.asarray(ifs.probs(x), dtype=float).ravel()
-    if p.size != ifs.n_maps:
+def _checked_probs(p: np.ndarray, n_maps: int, x: np.ndarray | None) -> np.ndarray:
+    """The normalized probability vector p, given at state x (None: constant)."""
+    def at():
+        return "" if x is None else f" at {x}"
+
+    if p.size != n_maps:
         raise InvalidProbabilityError(
-            f"probability map returned {p.size} entries for {ifs.n_maps} maps")
+            f"probability map returned {p.size} entries for {n_maps} maps")
     if not np.all(np.isfinite(p)):
-        raise InvalidProbabilityError(f"non-finite probabilities at {x}: {p}")
+        raise InvalidProbabilityError(f"non-finite probabilities{at()}: {p}")
     if p.min() < -_PROB_NEG_TOL:
-        raise InvalidProbabilityError(f"negative probability at {x}: {p}")
+        raise InvalidProbabilityError(f"negative probability{at()}: {p}")
     p = np.maximum(p, 0.0)
     total = p.sum()
     if abs(total - 1.0) > _PROB_SUM_TOL:
         raise InvalidProbabilityError(
-            f"probabilities at {x} sum to {float(total)}, outside 1 +/- {_PROB_SUM_TOL}")
+            f"probabilities{at()} sum to {float(total)}, outside 1 +/- {_PROB_SUM_TOL}")
     return p / total
 
 
-def _sample_index(p: np.ndarray, rng: np.random.Generator) -> int:
-    # Inverse CDF with ties broken toward the lower index; u in (0, 1] so
-    # zero-probability maps are never selected.
+def evaluate_probs(ifs: DiscreteIFS, x: np.ndarray) -> np.ndarray:
+    """Evaluate and validate the selection probabilities at x."""
+    return _checked_probs(np.asarray(ifs.probs(x), dtype=float).ravel(), ifs.n_maps, x)
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    # Inverse-CDF table: searching it for u in (0, 1] with side="left"
+    # breaks ties toward the lower index and never selects a
+    # zero-probability map.
     cum = np.cumsum(p)
     cum[-1] = 1.0
+    return cum
+
+
+def _sample_index(p: np.ndarray, rng: np.random.Generator) -> int:
     u = 1.0 - rng.random()
-    return int(np.searchsorted(cum, u, side="left"))
+    return int(np.searchsorted(_cdf(p), u, side="left"))
 
 
 def step_discrete(ifs: DiscreteIFS, x, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -229,6 +258,78 @@ def _step(ifs, x, rng):
     raise TypeError(f"not an IFS: {type(ifs).__name__}")
 
 
+def _check_row(k: int, states: np.ndarray, row: np.ndarray, divergence_bound: float,
+               label: str) -> None:
+    """Raise the stepping path's error if step k's output ``row`` fails its checks."""
+    if not np.all(np.isfinite(row)):
+        raise NumericalBlowupError(
+            f"step {k}: {label} produced non-finite output at {states[k]}")
+    norm = float(np.linalg.norm(row))
+    if norm > divergence_bound:
+        raise NumericalBlowupError(
+            f"step {k}: state norm {norm:.6e} exceeded divergence bound "
+            f"{divergence_bound:.6e}")
+
+
+def _screen_rows(states: np.ndarray, first: int, stop: int, divergence_bound: float,
+                 label: Callable[[int], str]) -> None:
+    """Check the rows that steps first..stop-1 produced; raise at the first bad one.
+
+    ||x|| <= sqrt(d) max|x_i|, so a row passing the screen passes the norm
+    check with room for rounding; NaN rows fail the comparison.  Only rows
+    that fail it get the exact checks, labelled with ``label(k)``.
+    """
+    peak = np.abs(states[first + 1:stop + 1]).max(axis=1)
+    for j in np.flatnonzero(~(peak * (2 * states.shape[1]) <= divergence_bound)):
+        k = first + int(j)
+        _check_row(k, states, states[k + 1], divergence_bound, label(k))
+
+
+def _walk_constant(ifs: DiscreteIFS, x: np.ndarray, n_steps: int,
+                   rng: np.random.Generator, divergence_bound: float
+                   ) -> tuple[np.ndarray, list]:
+    """The per-step walk of a constant-probability IFS of pure maps, in blocks.
+
+    Each block draws its ``_WALK_BLOCK`` uniforms in one call, which gives
+    the numbers the per-step draws would, selects every map with one
+    search of the same table, applies the maps, then screens the rows.  A
+    step that raises or changes the state's shape first screens the rows
+    before it, so every failure is the one the per-step walk reports.
+    """
+    d = x.size
+    states = np.empty((n_steps + 1, d))
+    states[0] = x
+    cum = _cdf(ifs._probs_vector)
+    maps = ifs.maps
+    selections: list = []
+
+    def label(k):
+        return f"map {selections[k]}"
+
+    for start in range(0, n_steps, _WALK_BLOCK):
+        u = 1.0 - rng.random(min(_WALK_BLOCK, n_steps - start))
+        chosen = np.searchsorted(cum, u, side="left").tolist()
+        selections.extend(chosen)
+        for k, i in enumerate(chosen, start):
+            try:
+                x = np.atleast_1d(np.asarray(maps[i](x), dtype=float))
+            except Exception as exc:
+                _screen_rows(states, start, k, divergence_bound, label)
+                if isinstance(exc, _STEP_ERRORS):
+                    raise type(exc)(f"step {k}: {exc}") from exc
+                raise
+            if x.shape != (d,):
+                _screen_rows(states, start, k, divergence_bound, label)
+                _check_row(k, states, x, divergence_bound, label(k))
+                if x.size != d:
+                    raise ValueError(f"step {k}: map changed the state dimension")
+                if k + 1 < n_steps:
+                    as_state(x)  # the next step's input check raises
+            states[k + 1] = x
+        _screen_rows(states, start, start + len(chosen), divergence_bound, label)
+    return states, selections
+
+
 def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
           divergence_bound: float) -> tuple[np.ndarray, list | None]:
     """States (n_steps + 1, d) from x and the selections taken, checked per step.
@@ -238,40 +339,29 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
     ``NumericalBlowupError``.  A continuous IFS with ``advance`` runs
     through it and keeps no selections: only rows whose largest entry could
     put them past the bound, or that are not finite, get the exact per-step
-    checks, which raise the stepping path's errors.
+    checks, which raise the stepping path's errors.  A discrete IFS built
+    with a probability vector and only pure maps takes the same steps
+    in blocks (``_walk_constant``).
     """
     if isinstance(ifs, ContinuousIFS) and ifs.advance is not None:
         states = ifs.advance(x, n_steps, rng)
         if states.shape != (n_steps + 1, x.size):
             raise ValueError(f"advance returned shape {states.shape}, "
                              f"expected {(n_steps + 1, x.size)}")
-        # ||x|| <= sqrt(d) max|x_i|, so a row passing this screen passes the
-        # norm check with room for rounding; NaN rows fail the comparison.
-        peak = np.abs(states[1:]).max(axis=1)
-        for k in np.flatnonzero(~(peak * (2 * x.size) <= divergence_bound)):
-            row = states[k + 1]
-            if not np.all(np.isfinite(row)):
-                raise NumericalBlowupError(
-                    f"step {k}: map produced non-finite output at {states[k]}")
-            norm = float(np.linalg.norm(row))
-            if norm > divergence_bound:
-                raise NumericalBlowupError(
-                    f"step {k}: state norm {norm:.6e} exceeded divergence bound "
-                    f"{divergence_bound:.6e}")
+        _screen_rows(states, 0, n_steps, divergence_bound, lambda k: "map")
         return states, None
+    if (isinstance(ifs, DiscreteIFS) and ifs._probs_vector is not None
+            and not any(ifs._rng_aware)):
+        return _walk_constant(ifs, x, n_steps, rng, divergence_bound)
     states = np.empty((n_steps + 1, x.size))
     states[0] = x
     selections: list = []
     for k in range(n_steps):
         try:
             x, choice = _step(ifs, x, rng)
-        except (InvalidProbabilityError, NumericalBlowupError, ParameterDomainError) as exc:
+        except _STEP_ERRORS as exc:
             raise type(exc)(f"step {k}: {exc}") from exc
-        norm = float(np.linalg.norm(x))
-        if norm > divergence_bound:
-            raise NumericalBlowupError(
-                f"step {k}: state norm {norm:.6e} exceeded divergence bound "
-                f"{divergence_bound:.6e}")
+        _check_row(k, states, x, divergence_bound, "map")
         if x.size != states.shape[1]:
             raise ValueError(f"step {k}: map changed the state dimension")
         states[k + 1] = x
@@ -316,7 +406,7 @@ def run_ensemble(ifs, initial_measure, n_steps: int, seed: int,
             raise ValueError("all particles must share one dimension")
         try:
             states, _ = _walk(ifs, x, n_steps, make_rng(seed, i), divergence_bound)
-        except (InvalidProbabilityError, NumericalBlowupError, ParameterDomainError) as exc:
+        except _STEP_ERRORS as exc:
             raise type(exc)(f"particle {i}, {exc}") from exc
         finals[i] = states[-1]
     return histogram_from_samples(finals, n_bins=n_bins, range_=range_)

@@ -530,9 +530,8 @@ def extreme_noise_closed_loop_ifs(problem: MPCProblem) -> DiscreteIFS:
             return a_vertex @ x + problem.b @ (k_gain @ (problem.z - problem.a @ x))
         return apply
 
-    weights = np.full(len(vertices), 1.0 / len(vertices))
     return DiscreteIFS(maps=tuple(make_map(v) for v in vertices),
-                       probs=lambda x: weights)
+                       probs=np.full(len(vertices), 1.0 / len(vertices)))
 
 
 def project_simplex(v) -> np.ndarray:

@@ -26,6 +26,5 @@ def four_state_problem():
 @pytest.fixture
 def bernoulli_ifs():
     """S1 = x/2, S2 = (x+1)/2 with equal probabilities; invariant U[0, 1]."""
-    probs = np.array([0.5, 0.5])
     return DiscreteIFS(maps=(lambda x: x / 2, lambda x: (x + 1) / 2),
-                       probs=lambda x: probs)
+                       probs=np.array([0.5, 0.5]))

@@ -335,7 +335,12 @@ def test_ifs_demo_custom_file(tmp_path):
 @pytest.mark.parametrize("fields", [{"n_windows": 1}, {"burn_in_frac": 1.0},
                                     {"burn_in_frac": -0.1}, {"n_bins": 0},
                                     {"check_points": 0}, {"n_iterations": 30},
-                                    {"n_iterations": 100, "burn_in_frac": 0.99}])
+                                    {"n_iterations": 100, "burn_in_frac": 0.99},
+                                    {"tolerance": -1}, {"tolerance": 0}, {"tolerance": "x"},
+                                    {"tolerance": float("nan")}, {"tolerance": float("inf")},
+                                    {"tolerance": True}, {"n_trials": 2.5},
+                                    {"n_iterations": 1000.0}, {"n_bins": True},
+                                    {"n_windows": "4"}, {"check_pairs": None}])
 def test_config_rejects_invalid_fields(fields):
     with pytest.raises(ValueError):
         ExperimentConfig(**fields)
@@ -365,6 +370,11 @@ def test_run_experiment_rejects_zero_workers(tmp_path):
     ["ifs-demo", "half_probs_ifs.json"],
     ["ifs-demo", "bernoulli", "--iters", "30"],
     ["reproduce-paper", "--config", "late_burn_config.json", "--iters", "100"],
+    ["reproduce-paper", "--config", "negative_tolerance_config.json"],
+    ["reproduce-paper", "--config", "text_tolerance_config.json"],
+    ["reproduce-paper", "--config", "fractional_trials_config.json"],
+    ["ifs-demo", "bernoulli", "--tolerance", "0"],
+    ["ifs-demo", "bernoulli", "--tolerance", "inf"],
 ])
 def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -373,6 +383,10 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ar
     Path("typo_config.json").write_text(json.dumps({"n_trial": 2}))
     Path("truncated.json").write_text('{"n_trials": 2')
     Path("late_burn_config.json").write_text(json.dumps({"burn_in_frac": 0.99}))
+    Path("negative_tolerance_config.json").write_text(json.dumps({"tolerance": -1}))
+    Path("text_tolerance_config.json").write_text(json.dumps(
+        {"tolerance": "x", "n_trials": 1, "n_iterations": 200, "saa_samples": 2}))
+    Path("fractional_trials_config.json").write_text(json.dumps({"n_trials": 2.5}))
     spec = ExperimentConfig().generation.to_dict()
     Path("zero_r_spec.json").write_text(json.dumps({**spec, "lam_r": [0.5, 0.0, 1.0, 1.5]}))
     del spec["lam_q"]
@@ -388,6 +402,18 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ar
         main(argv + ["--out", "out"])
     assert exc.value.code == 2
     assert not Path("out").exists()
+
+
+def test_single_file_outputs_create_their_parent_directory(tmp_path, capsys):
+    problem = tmp_path / "new" / "problem.json"
+    assert main(["generate", "--seed", "4", "--out", str(problem)]) == 0
+    conditions = tmp_path / "nodir" / "deeper" / "c.json"
+    assert main(["check", str(problem), "--points", "8", "--pairs", "8",
+                 "--out", str(conditions)]) == 0
+    capsys.readouterr()
+    assert MPCProblem.from_json(problem.read_text()).d == 4
+    assert set(json.loads(conditions.read_text())) == {"linear_sufficient",
+                                                       "average_contraction"}
 
 
 def test_every_run_flag_dest_is_a_config_field():

@@ -22,6 +22,9 @@ TRIAL_SEED_7_DIGEST = "dce7b5a420fe0d4ed73fffc528d56377b9b810318e20ae80015439716
 DEMO_SEED_4_DIGEST = "0459e81a7aa3db710c7c3dd35a9592ea11af7566f14ed7d3f92f153a9f358309"
 RUN_SEED_3_DIGEST = "72b9a526ed20ade141e93ad7094141042eb3d0a8fc78086aeb24b7add81023be"
 CHECK_SEED_0_DIGEST = "192c2aa088cf288ae6bb1fb88c4b1c1b1f963104711eafff86bd91b3705114ae"
+# ``ifs-demo bernoulli --seed 4`` at its default 100 000 steps: the
+# constant-probability walk draws its selections in ~98 blocks.
+DEMO_DEFAULT_SEED_4_DIGEST = "c903172cdbaff3c7cc928f2895f1fa5a3c54d0b66392fc5620aaa8578b2a86b6"
 
 
 def tree_digest(root) -> str:
@@ -67,6 +70,13 @@ def test_ifs_demo_matches_golden_digest_with_config_defaults(tmp_path, capsys):
     assert diagnostic["n_bins"] == defaults.n_bins
     assert diagnostic["tolerance"] == defaults.tolerance
     assert diagnostic["burn_in_frac"] == defaults.burn_in_frac
+
+
+def test_default_length_ifs_demo_matches_golden_digest(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["ifs-demo", "bernoulli", "--seed", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert tree_digest(out) == DEMO_DEFAULT_SEED_4_DIGEST
 
 
 def test_run_matches_golden_digest(tmp_path, capsys):

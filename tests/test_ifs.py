@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from ergodic_smpc import (
     step_discrete,
     write_trajectory_csv,
 )
-from ergodic_smpc.ifs import _CSV_BLOCK, evaluate_probs
+from ergodic_smpc import ifs as ifs_module
+from ergodic_smpc.ifs import _CSV_BLOCK, _WALK_BLOCK, _walk, evaluate_probs
 from ergodic_smpc.rng import make_rng
 
 
@@ -330,3 +332,120 @@ def test_simulate_checks_advance_rows():
                           advance=lambda x, n, rng: np.tile(x, (n, 1)))
     with pytest.raises(ValueError, match="advance returned shape"):
         simulate(short, [1.0], 3, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# constant-probability walk: a vector ``probs`` against the same callable
+# ---------------------------------------------------------------------------
+
+def _vector_and_callable(maps, p):
+    return (DiscreteIFS(maps=maps, probs=np.array(p)),
+            DiscreteIFS(maps=maps, probs=lambda x: np.array(p)))
+
+
+def _no_per_step_loop(*args):
+    raise AssertionError("the vector form took the per-step loop")
+
+
+def _error_of(run):
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+_AFFINE_2D = ((np.array([[0.5, 0.1], [0.0, 0.4]]), np.array([0.0, 0.0])),
+              (np.array([[0.3, 0.0], [0.2, 0.5]]), np.array([1.0, 0.5])),
+              (np.array([[0.4, -0.1], [0.1, 0.3]]), np.array([-0.5, 1.0])))
+
+
+@pytest.mark.parametrize("maps, p, x0", [
+    ((lambda x: 0.9 * x + 0.1,), [1.0], [0.3]),
+    ((lambda x: x / 2, lambda x: (x + 1) / 2), [0.5, 0.5], [0.0]),
+    ((lambda x: x / 3, lambda x: 10 * x, lambda x: (x + 2) / 3), [0.3, 0.0, 0.7], [0.5]),
+    (tuple(lambda x, a=a, b=b: a @ x + b for a, b in _AFFINE_2D), [0.2, 0.0, 0.8],
+     [0.1, 0.2]),
+])
+def test_vector_probs_walk_is_bit_identical(monkeypatch, maps, p, x0):
+    vector, function = _vector_and_callable(maps, p)
+    n = 2 * _WALK_BLOCK + 3
+    rng_f = make_rng(11)
+    states_f, sels_f = _walk(function, as_state(x0), n, rng_f, 1e12)
+    monkeypatch.setattr(ifs_module, "_step", _no_per_step_loop)
+    rng_v = make_rng(11)
+    states_v, sels_v = _walk(vector, as_state(x0), n, rng_v, 1e12)
+    assert np.array_equal(states_v, states_f)
+    assert sels_v == sels_f and all(type(s) is int for s in sels_v)
+    assert rng_v.bit_generator.state == rng_f.bit_generator.state
+    if 0.0 in p:
+        assert p.index(0.0) not in sels_v
+
+
+def _grows_past(limit, output):
+    """x + 1 until x passes ``limit``, then ``output(x)``."""
+    return lambda x: x + 1.0 if x[0] < limit else output(x)
+
+
+@pytest.mark.parametrize("maps, bound", [
+    # Norm past the bound inside the second block.
+    ((lambda x: 1.02 * x, lambda x: 1.0 * x), 1e6),
+    # Non-finite output, fed onward before the block's rows are screened.
+    ((_grows_past(1100, lambda x: x * np.inf), lambda x: x + 1.0), 1e12),
+    # Non-finite output whose successor map raises on it.
+    ((_grows_past(1100, lambda x: x * np.nan), lambda x: as_state(x) + 1.0), 1e12),
+    # A map that changes the dimension, or returns a 2-D state.
+    ((_grows_past(1100, lambda x: np.append(x, 0.0)), lambda x: x + 1.0), 1e12),
+    ((_grows_past(1100, lambda x: x.reshape(1, 1)), lambda x: x + 1.0), 1e12),
+    # A non-finite output that a later step of the block reshapes.
+    ((_grows_past(1100, lambda x: x * np.nan),
+      lambda x: np.append(x, 0.0) if np.isnan(x[0]) else x + 1.0), 1e12),
+])
+def test_vector_probs_walk_fails_as_the_per_step_walk(maps, bound):
+    vector, function = _vector_and_callable(maps, [0.5, 0.5])
+    n = 2 * _WALK_BLOCK + 3
+    for run in (lambda ifs: simulate(ifs, [1.0], n, seed=2, divergence_bound=bound),
+                lambda ifs: run_ensemble(ifs, [np.zeros(1), np.ones(1)], n, seed=2,
+                                         divergence_bound=bound)):
+        kind, text = _error_of(lambda: run(vector))
+        assert (kind, text) == _error_of(lambda: run(function))
+        steps = [int(k) for k in re.findall(r"step (\d+)", text)]
+        assert not steps or _WALK_BLOCK <= steps[0] < 2 * _WALK_BLOCK, text
+    kind, text = _error_of(lambda: run_ensemble(vector, [np.ones(1)] * 2, n, seed=2,
+                                                divergence_bound=bound))
+    if kind is not ValueError:
+        assert re.match(r"^particle 0, step \d+: ", text)
+
+
+def test_vector_probs_with_rng_aware_map_takes_the_per_step_loop(monkeypatch):
+    maps = (lambda x: x / 2, lambda x, rng: x + rng.random())
+    vector, function = _vector_and_callable(maps, [0.5, 0.5])
+    a = simulate(function, [0.0], 50, seed=3)
+    calls = []
+
+    def counted_step(*args):
+        calls.append(1)
+        return step_discrete(*args)
+
+    monkeypatch.setattr(ifs_module, "_step", counted_step)
+    b = simulate(vector, [0.0], 50, seed=3)
+    assert len(calls) == 50
+    assert np.array_equal(a.states, b.states) and a.selections == b.selections
+
+
+@pytest.mark.parametrize("p", [[0.4, 0.4], [-0.2, 1.2], [np.nan, 1.0], [0.5, 0.5, 0.0],
+                               [np.inf, 0.0]])
+def test_bad_probability_vector_rejected_when_built(p):
+    maps = (lambda x: x, lambda x: x)
+    with pytest.raises(InvalidProbabilityError) as built:
+        DiscreteIFS(maps=maps, probs=np.array(p))
+    with pytest.raises(InvalidProbabilityError) as evaluated:
+        evaluate_probs(DiscreteIFS(maps=maps, probs=lambda x: np.array(p)), np.array([0.0]))
+    # The same text, less the state that a constant vector does not have.
+    assert str(built.value) == str(evaluated.value).replace(" at [0.]", "")
+
+
+def test_vector_probs_stays_callable_and_unnormalized():
+    drift = 1e-10
+    ifs = DiscreteIFS(maps=(lambda x: x, lambda x: x), probs=[0.5 + drift, 0.5])
+    given = ifs.probs(np.array([3.0]))
+    assert np.array_equal(given, [0.5 + drift, 0.5]) and not given.flags.writeable
+    assert abs(evaluate_probs(ifs, np.array([0.0])).sum() - 1.0) <= 1e-12
