@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -37,11 +38,21 @@ from .smpc import GenerationSpec, MPCProblem, generate_problem
 _SEED_ENV = "ERGODIC_SMPC_SEED"
 
 
-def _resolve_seed(flag_seed: int | None, file_data: dict) -> int:
-    """The seed rule: flag > the file's "seed" key > ERGODIC_SMPC_SEED > 0."""
-    for candidate in (flag_seed, file_data.get("seed"), os.environ.get(_SEED_ENV) or None):
-        if candidate is not None:
-            return int(candidate)
+def _resolve_seed(flag_seed: int | None, file_data: dict, file_name: str | None,
+                  parser: argparse.ArgumentParser) -> int:
+    """The seed rule: flag > the file's "seed" key > ERGODIC_SMPC_SEED > 0.
+
+    A seed that is not an integer exits 2 naming the file or the variable.
+    """
+    for seed, source in ((flag_seed, "--seed"), (file_data.get("seed"), file_name),
+                         (os.environ.get(_SEED_ENV) or None, _SEED_ENV)):
+        if seed is None:
+            continue
+        if isinstance(seed, str) and re.fullmatch(r"\s*[+-]?\d+\s*", seed):
+            seed = int(seed)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            parser.error(f"{source}: seed must be an integer, got {seed!r}")
+        return seed
     return 0
 
 
@@ -53,16 +64,11 @@ def _read(path: str, parse, parser: argparse.ArgumentParser):
         parser.error(f"{path}: {type(exc).__name__}: {exc}")
 
 
-def _apply_overrides(config: ExperimentConfig, args, file_data: dict) -> ExperimentConfig:
-    updates = {f.name: getattr(args, f.name) for f in fields(config)
-               if getattr(args, f.name, None) is not None}
-    updates["seed"] = _resolve_seed(args.seed, file_data)
-    return replace(config, **updates)
-
-
-def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
+def _build_config(args, parser: argparse.ArgumentParser,
+                  dim: int | None = None) -> ExperimentConfig:
     """Defaults, then the --config file, then --smoke, then flags.
 
+    ``x0`` must have ``dim`` entries, by default the generation spec's ``d``.
     An invalid file or value exits 2 through ``parser.error``.
     """
     data, config = {}, ExperimentConfig()
@@ -71,7 +77,12 @@ def _build_config(args, parser: argparse.ArgumentParser) -> ExperimentConfig:
     try:
         if getattr(args, "smoke", False):
             config = config.smoke()
-        return _apply_overrides(config, args, data)
+        updates = {f.name: getattr(args, f.name) for f in fields(config)
+                   if getattr(args, f.name, None) is not None}
+        updates["seed"] = _resolve_seed(args.seed, data, getattr(args, "config", None), parser)
+        config = replace(config, **updates)
+        config.check_x0(config.generation.d if dim is None else dim)
+        return config
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -80,7 +91,7 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> int:
     data, spec = {}, GenerationSpec.default()
     if args.spec is not None:
         data, spec = _read(args.spec, lambda d: (d, GenerationSpec.from_dict(d)), parser)
-    problem = generate_problem(spec, seed=_resolve_seed(args.seed, data))
+    problem = generate_problem(spec, seed=_resolve_seed(args.seed, data, args.spec, parser))
     atomic_write_text(args.out, problem.to_json() + "\n")
     for name, mat in [("A", problem.a), ("Q", problem.q), ("R", problem.r)]:
         spectrum = ", ".join(format(v, ".12g") for v in np.linalg.eigvalsh(mat))
@@ -105,8 +116,8 @@ def cmd_check(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_run(args, parser: argparse.ArgumentParser) -> int:
-    config = _build_config(args, parser)
     problem = _read(args.problem, MPCProblem.from_dict, parser)
+    config = _build_config(args, parser, problem.d)
     try:
         report = simulate_and_report(problem, args.out, config, config.seed)
     except NumericalBlowupError as exc:

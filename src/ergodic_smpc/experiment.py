@@ -107,6 +107,11 @@ class ExperimentConfig:
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 
+    def check_x0(self, d: int) -> None:
+        """Raise ``ValueError`` unless ``x0`` is unset or has ``d`` entries."""
+        if self.x0 is not None and len(self.x0) != d:
+            raise ValueError(f"x0 has {len(self.x0)} entries, the problem has d = {d}")
+
     def smoke(self) -> "ExperimentConfig":
         """CI-scale variant: one short trial with few SAA samples."""
         return replace(self, n_trials=1, n_iterations=1000, saa_samples=20)
@@ -298,11 +303,12 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> list[
     """Run every trial, then write config, summary table, and manifest.
 
     Trial directories and file contents depend only on the config, never
-    on the worker count or the output location.  ``workers < 1`` raises
-    ``ValueError`` before anything is written.
+    on the worker count or the output location.  ``workers < 1`` or an
+    ``x0`` of the wrong length raises ``ValueError`` before any write.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    config.check_x0(config.generation.d)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / "config.json",

@@ -3,13 +3,13 @@
 A discrete IFS is a finite family of transformations together with a
 state-dependent selection probability map, or a constant probability
 vector; a continuous IFS is a single parametrized transformation whose
-parameter is drawn from a state-dependent distribution.  Both step the
-state forward one draw at a time; a continuous IFS may also supply
-``advance``, a whole-path kernel that gives the states of that stepping
-in one call, and a discrete IFS with a constant vector and pure maps is
-stepped a block of draws at a time.  All randomness flows
-through explicitly keyed generators, so trajectories and particle
-ensembles are bit-reproducible and independent of scheduling order.
+parameter is drawn from a state-dependent distribution.  One walk steps
+both, drawing a discrete system's selections a block at a time, with
+the results of stepping one draw at a time; a continuous IFS may also
+supply ``advance``, a whole-path kernel that gives the states of that
+stepping in one call.  All randomness flows through explicitly keyed
+generators, so trajectories and particle ensembles are bit-reproducible
+and independent of scheduling order.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ _PROB_NEG_TOL = 1e-12
 # Trajectory CSV rows formatted per write; larger blocks raise peak memory
 # without writing faster.
 _CSV_BLOCK = 1024
-# Steps whose selections a constant-probability walk draws at once; the
-# uniforms of a block are its only extra memory.
+# Steps whose selection uniforms the walk draws at once; they are a
+# block's only extra memory.
 _WALK_BLOCK = 1024
 # Errors a failing step re-raises with its step index prefixed.
 _STEP_ERRORS = (InvalidProbabilityError, NumericalBlowupError, ParameterDomainError)
@@ -111,13 +111,13 @@ class DiscreteIFS:
             raise ValueError("an IFS needs at least one map")
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_rng_aware", tuple(_accepts_rng(m) for m in maps))
-        vector = None
+        cdf = None
         if not callable(self.probs):
             given = np.array(self.probs, dtype=float).ravel()
             given.setflags(write=False)
-            vector = _checked_probs(given, len(maps), None)
+            cdf = _cdf(_checked_probs(given, len(maps), None))
             object.__setattr__(self, "probs", lambda x: given)
-        object.__setattr__(self, "_probs_vector", vector)
+        object.__setattr__(self, "_vector_cdf", cdf)
 
     @property
     def n_maps(self) -> int:
@@ -221,18 +221,25 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _sample_index(p: np.ndarray, rng: np.random.Generator) -> int:
-    u = 1.0 - rng.random()
-    return int(np.searchsorted(_cdf(p), u, side="left"))
+def _apply_choice(ifs, x: np.ndarray, u: float | None, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, Any]:
+    """One step at x: its output, and the map that u selects or the parameter drawn."""
+    if isinstance(ifs, DiscreteIFS):
+        choice = int(np.searchsorted(_cdf(evaluate_probs(ifs, x)), u, side="left"))
+        out = ifs.apply_map(choice, x, rng)
+    else:
+        choice = ifs.sampler(x, rng)
+        if ifs.param_check is not None and not ifs.param_check(choice):
+            raise ParameterDomainError(
+                f"sampled parameter {choice!r} outside the parameter space")
+        out = ifs.map(choice, x)
+    return np.atleast_1d(np.asarray(out, dtype=float)), choice
 
 
 def step_discrete(ifs: DiscreteIFS, x, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Advance one step: select a map from probs(x), apply it to x."""
     x = as_state(x)
-    p = evaluate_probs(ifs, x)
-    index = _sample_index(p, rng)
-    out = np.asarray(ifs.apply_map(index, x, rng), dtype=float)
-    out = np.atleast_1d(out)
+    out, index = _apply_choice(ifs, x, 1.0 - rng.random(), rng)
     if not np.all(np.isfinite(out)):
         raise NumericalBlowupError(f"map {index} produced non-finite output at {x}")
     return out, index
@@ -241,21 +248,10 @@ def step_discrete(ifs: DiscreteIFS, x, rng: np.random.Generator) -> tuple[np.nda
 def step_continuous(ifs: ContinuousIFS, x, rng: np.random.Generator) -> tuple[np.ndarray, Any]:
     """Advance one step: draw the parameter at x, apply the map."""
     x = as_state(x)
-    t = ifs.sampler(x, rng)
-    if ifs.param_check is not None and not ifs.param_check(t):
-        raise ParameterDomainError(f"sampled parameter {t!r} outside the parameter space")
-    out = np.atleast_1d(np.asarray(ifs.map(t, x), dtype=float))
+    out, t = _apply_choice(ifs, x, None, rng)
     if not np.all(np.isfinite(out)):
         raise NumericalBlowupError(f"map produced non-finite output at {x}")
     return out, t
-
-
-def _step(ifs, x, rng):
-    if isinstance(ifs, DiscreteIFS):
-        return step_discrete(ifs, x, rng)
-    if isinstance(ifs, ContinuousIFS):
-        return step_continuous(ifs, x, rng)
-    raise TypeError(f"not an IFS: {type(ifs).__name__}")
 
 
 def _check_row(k: int, states: np.ndarray, row: np.ndarray, divergence_bound: float,
@@ -276,58 +272,14 @@ def _screen_rows(states: np.ndarray, first: int, stop: int, divergence_bound: fl
     """Check the rows that steps first..stop-1 produced; raise at the first bad one.
 
     ||x|| <= sqrt(d) max|x_i|, so a row passing the screen passes the norm
-    check with room for rounding; NaN rows fail the comparison.  Only rows
-    that fail it get the exact checks, labelled with ``label(k)``.
+    check with room for rounding; NaN and infinite rows fail it even when
+    the bound is infinite.  Only rows that fail it get the exact checks,
+    labelled with ``label(k)``.
     """
-    peak = np.abs(states[first + 1:stop + 1]).max(axis=1)
-    for j in np.flatnonzero(~(peak * (2 * states.shape[1]) <= divergence_bound)):
+    peak = np.abs(states[first + 1:stop + 1]).max(axis=1) * (2 * states.shape[1])
+    for j in np.flatnonzero(~((peak <= divergence_bound) & (peak < np.inf))):
         k = first + int(j)
         _check_row(k, states, states[k + 1], divergence_bound, label(k))
-
-
-def _walk_constant(ifs: DiscreteIFS, x: np.ndarray, n_steps: int,
-                   rng: np.random.Generator, divergence_bound: float
-                   ) -> tuple[np.ndarray, list]:
-    """The per-step walk of a constant-probability IFS of pure maps, in blocks.
-
-    Each block draws its ``_WALK_BLOCK`` uniforms in one call, which gives
-    the numbers the per-step draws would, selects every map with one
-    search of the same table, applies the maps, then screens the rows.  A
-    step that raises or changes the state's shape first screens the rows
-    before it, so every failure is the one the per-step walk reports.
-    """
-    d = x.size
-    states = np.empty((n_steps + 1, d))
-    states[0] = x
-    cum = _cdf(ifs._probs_vector)
-    maps = ifs.maps
-    selections: list = []
-
-    def label(k):
-        return f"map {selections[k]}"
-
-    for start in range(0, n_steps, _WALK_BLOCK):
-        u = 1.0 - rng.random(min(_WALK_BLOCK, n_steps - start))
-        chosen = np.searchsorted(cum, u, side="left").tolist()
-        selections.extend(chosen)
-        for k, i in enumerate(chosen, start):
-            try:
-                x = np.atleast_1d(np.asarray(maps[i](x), dtype=float))
-            except Exception as exc:
-                _screen_rows(states, start, k, divergence_bound, label)
-                if isinstance(exc, _STEP_ERRORS):
-                    raise type(exc)(f"step {k}: {exc}") from exc
-                raise
-            if x.shape != (d,):
-                _screen_rows(states, start, k, divergence_bound, label)
-                _check_row(k, states, x, divergence_bound, label(k))
-                if x.size != d:
-                    raise ValueError(f"step {k}: map changed the state dimension")
-                if k + 1 < n_steps:
-                    as_state(x)  # the next step's input check raises
-            states[k + 1] = x
-        _screen_rows(states, start, start + len(chosen), divergence_bound, label)
-    return states, selections
 
 
 def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
@@ -337,11 +289,15 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
     Step k produces row k + 1.  A failing step raises with ``step k: ``
     prefixed; a state whose norm exceeds ``divergence_bound`` raises
     ``NumericalBlowupError``.  A continuous IFS with ``advance`` runs
-    through it and keeps no selections: only rows whose largest entry could
-    put them past the bound, or that are not finite, get the exact per-step
-    checks, which raise the stepping path's errors.  A discrete IFS built
-    with a probability vector and only pure maps takes the same steps
-    in blocks (``_walk_constant``).
+    through it, keeps no selections and has its rows screened as a block's.
+
+    Every other IFS steps in blocks: ``_WALK_BLOCK`` steps for a discrete
+    IFS none of whose maps draws from the generator, one step otherwise.
+    A discrete block draws its selection uniforms in one call, the numbers
+    one draw per step gives; a probability vector selects the block with
+    one search, a callable ``probs`` selects at each step.  A step that
+    raises or changes the state's shape first screens the rows before it,
+    so every failure is the error of stepping one at a time.
     """
     if isinstance(ifs, ContinuousIFS) and ifs.advance is not None:
         states = ifs.advance(x, n_steps, rng)
@@ -350,22 +306,47 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
                              f"expected {(n_steps + 1, x.size)}")
         _screen_rows(states, 0, n_steps, divergence_bound, lambda k: "map")
         return states, None
-    if (isinstance(ifs, DiscreteIFS) and ifs._probs_vector is not None
-            and not any(ifs._rng_aware)):
-        return _walk_constant(ifs, x, n_steps, rng, divergence_bound)
-    states = np.empty((n_steps + 1, x.size))
+    discrete = isinstance(ifs, DiscreteIFS)
+    if not discrete and not isinstance(ifs, ContinuousIFS):
+        raise TypeError(f"not an IFS: {type(ifs).__name__}")
+    block = _WALK_BLOCK if discrete and not any(ifs._rng_aware) else 1
+    cum = ifs._vector_cdf if block > 1 else None
+    d = x.size
+    states = np.empty((n_steps + 1, d))
     states[0] = x
     selections: list = []
-    for k in range(n_steps):
-        try:
-            x, choice = _step(ifs, x, rng)
-        except _STEP_ERRORS as exc:
-            raise type(exc)(f"step {k}: {exc}") from exc
-        _check_row(k, states, x, divergence_bound, "map")
-        if x.size != states.shape[1]:
-            raise ValueError(f"step {k}: map changed the state dimension")
-        states[k + 1] = x
-        selections.append(choice)
+
+    def label(k):
+        return f"map {selections[k]}" if discrete else "map"
+
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        # A continuous block is one step, which draws its own parameter.
+        u = 1.0 - rng.random(stop - start) if discrete else [None]
+        if cum is not None:
+            selections.extend(np.searchsorted(cum, u, side="left").tolist())
+        for k in range(start, stop):
+            try:
+                if cum is not None:
+                    x = np.atleast_1d(np.asarray(ifs.maps[selections[k]](x), dtype=float))
+                else:
+                    x, choice = _apply_choice(ifs, x, u[k - start], rng)
+                    selections.append(choice)
+            except Exception as exc:
+                _screen_rows(states, start, k, divergence_bound, label)
+                if isinstance(exc, _STEP_ERRORS):
+                    raise type(exc)(f"step {k}: {exc}") from exc
+                raise
+            # A step that selects at its state must never see a non-finite one.
+            if x.shape != (d,) or (cum is None and not np.all(np.isfinite(x))):
+                _screen_rows(states, start, k, divergence_bound, label)
+                _check_row(k, states, x, divergence_bound, label(k))
+                if x.size != d:
+                    raise ValueError(f"step {k}: map changed the state dimension")
+                if k + 1 < n_steps:
+                    as_state(x)  # the next step's input check raises
+            states[k + 1] = x
+        _screen_rows(states, start, stop, divergence_bound, label)
     return states, selections
 
 

@@ -52,6 +52,15 @@ def test_generate_env_seed_fallback(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_generate_env_seed_takes_signed_integer_text(tmp_path, monkeypatch):
+    out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"
+    monkeypatch.setenv("ERGODIC_SMPC_SEED", " -3 ")
+    main(["generate", "--out", str(out1)])
+    monkeypatch.delenv("ERGODIC_SMPC_SEED")
+    main(["generate", "--seed", "-3", "--out", str(out2)])
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_generate_custom_spec(tmp_path):
     spec = {
         "lam_a": [0.3, 0.1], "lam_q": [2.0, 1.0], "lam_r": [1.0],
@@ -375,6 +384,18 @@ def test_run_experiment_rejects_zero_workers(tmp_path):
     ["reproduce-paper", "--config", "fractional_trials_config.json"],
     ["ifs-demo", "bernoulli", "--tolerance", "0"],
     ["ifs-demo", "bernoulli", "--tolerance", "inf"],
+    # A seed that is not an integer, from a file or from the environment.
+    ["reproduce-paper", "--config", "fractional_seed_config.json"],
+    ["run", "problem.json", "--config", "bool_seed_config.json"],
+    ["generate", "--spec", "fractional_seed_spec.json"],
+    ["ERGODIC_SMPC_SEED=abc", "generate"],
+    ["ERGODIC_SMPC_SEED=abc", "check", "problem.json"],
+    ["ERGODIC_SMPC_SEED=1.5", "run", "problem.json", "--iters", "100"],
+    ["ERGODIC_SMPC_SEED=abc", "reproduce-paper", "--smoke"],
+    ["ERGODIC_SMPC_SEED=abc", "ifs-demo", "bernoulli"],
+    # An x0 of the wrong length for the generated or the given problem.
+    ["reproduce-paper", "--config", "short_x0_config.json"],
+    ["run", "problem.json", "--config", "short_x0_config.json"],
 ])
 def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -398,10 +419,43 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ar
         "maps": [{"matrix": [[0.5]], "offset": [0.0]},
                  {"matrix": [[0.5]], "offset": [0.5]}],
         "probs": [0.25, 0.25]}))
+    small = {"n_trials": 1, "n_iterations": 200, "saa_samples": 2}
+    Path("fractional_seed_config.json").write_text(json.dumps({**small, "seed": 1.5}))
+    Path("bool_seed_config.json").write_text(json.dumps({**small, "seed": True}))
+    Path("short_x0_config.json").write_text(json.dumps({**small, "x0": [1.0]}))
+    Path("fractional_seed_spec.json").write_text(json.dumps(
+        {**ExperimentConfig().generation.to_dict(), "seed": 1.5}))
+    argv = list(argv)
+    while "=" in argv[0]:  # leading NAME=value entries set the environment
+        name, value = argv.pop(0).split("=", 1)
+        monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", "out"])
     assert exc.value.code == 2
     assert not Path("out").exists()
+
+
+def test_bad_seed_exit_names_its_source(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("seed.json").write_text(json.dumps({"seed": 1.5}))
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce-paper", "--config", "seed.json"])
+    assert exc.value.code == 2
+    assert "seed.json: seed must be an integer, got 1.5" in capsys.readouterr().err
+    monkeypatch.setenv("ERGODIC_SMPC_SEED", "abc")
+    for argv in (["generate"], ["ifs-demo", "bernoulli"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "ERGODIC_SMPC_SEED: seed must be an integer, got 'abc'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "seed.json"]
+
+
+def test_run_experiment_rejects_x0_of_wrong_length(tmp_path):
+    config = dataclasses.replace(ExperimentConfig().smoke(), x0=(1.0,))
+    with pytest.raises(ValueError, match="x0 has 1 entries, the problem has d = 4"):
+        run_experiment(config, tmp_path / "exp")
+    assert not (tmp_path / "exp").exists()
 
 
 def test_single_file_outputs_create_their_parent_directory(tmp_path, capsys):
@@ -417,7 +471,7 @@ def test_single_file_outputs_create_their_parent_directory(tmp_path, capsys):
 
 
 def test_every_run_flag_dest_is_a_config_field():
-    # _apply_overrides reads flags by field name, so a dest that names no
+    # _build_config reads flags by field name, so a dest that names no
     # field would be silently ignored.
     allowed = ({f.name for f in dataclasses.fields(ExperimentConfig)}
                | {"command", "config", "out", "problem", "name", "workers", "smoke"})

@@ -6,12 +6,16 @@ import pytest
 
 from ergodic_smpc import (
     ContinuousIFS,
+    DiscreteControlProblem,
     DiscreteIFS,
     InvalidProbabilityError,
+    MPCProblem,
+    NoiseSpec,
     NumericalBlowupError,
     ParameterDomainError,
     Trajectory,
     as_state,
+    discrete_smpc_as_ifs,
     read_trajectory_csv,
     run_ensemble,
     simulate,
@@ -19,7 +23,6 @@ from ergodic_smpc import (
     step_discrete,
     write_trajectory_csv,
 )
-from ergodic_smpc import ifs as ifs_module
 from ergodic_smpc.ifs import _CSV_BLOCK, _WALK_BLOCK, _walk, evaluate_probs
 from ergodic_smpc.rng import make_rng
 
@@ -335,16 +338,61 @@ def test_simulate_checks_advance_rows():
 
 
 # ---------------------------------------------------------------------------
-# constant-probability walk: a vector ``probs`` against the same callable
+# the walk against a per-step oracle
 # ---------------------------------------------------------------------------
 
-def _vector_and_callable(maps, p):
-    return (DiscreteIFS(maps=maps, probs=np.array(p)),
-            DiscreteIFS(maps=maps, probs=lambda x: np.array(p)))
+_STEP_ERRORS = (InvalidProbabilityError, NumericalBlowupError, ParameterDomainError)
 
 
-def _no_per_step_loop(*args):
-    raise AssertionError("the vector form took the per-step loop")
+def _stepped(ifs, x0, n_steps, rng, bound=1e12):
+    """The oracle: one draw and one map per step, each step checked before the next.
+
+    A discrete step draws ``1.0 - rng.random()`` after evaluating the
+    probabilities and selects from its own cumulative table; a map that
+    takes the generator draws after that.
+    """
+    x = as_state(x0)
+    states = np.empty((n_steps + 1, x.size))
+    states[0] = x
+    selections = []
+    for k in range(n_steps):
+        x = as_state(x)
+        try:
+            if isinstance(ifs, DiscreteIFS):
+                cum = np.cumsum(evaluate_probs(ifs, x))
+                cum[-1] = 1.0
+                choice = int(np.searchsorted(cum, 1.0 - rng.random(), side="left"))
+                out, label = ifs.apply_map(choice, x, rng), f"map {choice}"
+            else:
+                choice = ifs.sampler(x, rng)
+                if ifs.param_check is not None and not ifs.param_check(choice):
+                    raise ParameterDomainError(
+                        f"sampled parameter {choice!r} outside the parameter space")
+                out, label = ifs.map(choice, x), "map"
+            out = np.atleast_1d(np.asarray(out, dtype=float))
+            if not np.all(np.isfinite(out)):
+                raise NumericalBlowupError(f"{label} produced non-finite output at {x}")
+            norm = float(np.linalg.norm(out))
+            if norm > bound:
+                raise NumericalBlowupError(
+                    f"state norm {norm:.6e} exceeded divergence bound {bound:.6e}")
+        except _STEP_ERRORS as exc:
+            raise type(exc)(f"step {k}: {exc}") from exc
+        if out.size != x.size:
+            raise ValueError(f"step {k}: map changed the state dimension")
+        states[k + 1] = out
+        selections.append(choice)
+        x = out
+    return states, selections
+
+
+def _stepped_ensemble(ifs, particles, n_steps, seed, bound):
+    """The oracle's particles, each on its own stream; only its errors are used."""
+    for i, x in enumerate(particles):
+        try:
+            _stepped(ifs, x, n_steps, make_rng(seed, i), bound)
+        except _STEP_ERRORS as exc:
+            raise type(exc)(f"particle {i}, {exc}") from exc
 
 
 def _error_of(run):
@@ -353,9 +401,40 @@ def _error_of(run):
     return type(info.value), str(info.value)
 
 
+def _assert_fails_as_stepping(system, n, bound, particles):
+    """simulate and run_ensemble raise the oracle's error; return its text."""
+    kind, text = _error_of(lambda: simulate(system, [1.0], n, seed=2,
+                                            divergence_bound=bound))
+    assert (kind, text) == _error_of(lambda: _stepped(system, [1.0], n, make_rng(2),
+                                                      bound))
+    assert _error_of(lambda: run_ensemble(system, particles, n, seed=2,
+                                          divergence_bound=bound)) \
+        == _error_of(lambda: _stepped_ensemble(system, particles, n, 2, bound))
+    return text
+
+
+def _assert_walk_matches_stepping(system, x0, n):
+    rng_walk, rng_step = make_rng(11), make_rng(11)
+    states, sels = _walk(system, as_state(x0), n, rng_walk, 1e12)
+    expected_states, expected_sels = _stepped(system, x0, n, rng_step)
+    assert np.array_equal(states, expected_states)
+    assert sels == expected_sels
+    assert [type(s) for s in sels] == [type(s) for s in expected_sels]
+    assert rng_walk.bit_generator.state == rng_step.bit_generator.state
+    return sels
+
+
+def _vector_and_callable(maps, p):
+    return (DiscreteIFS(maps=maps, probs=np.array(p)),
+            DiscreteIFS(maps=maps, probs=lambda x: np.array(p)))
+
+
 _AFFINE_2D = ((np.array([[0.5, 0.1], [0.0, 0.4]]), np.array([0.0, 0.0])),
               (np.array([[0.3, 0.0], [0.2, 0.5]]), np.array([1.0, 0.5])),
               (np.array([[0.4, -0.1], [0.1, 0.3]]), np.array([-0.5, 1.0])))
+
+# Two full walk blocks and a partial third, so block boundaries are crossed.
+_BOUNDARY_STEPS = 2 * _WALK_BLOCK + 3
 
 
 @pytest.mark.parametrize("maps, p, x0", [
@@ -365,19 +444,51 @@ _AFFINE_2D = ((np.array([[0.5, 0.1], [0.0, 0.4]]), np.array([0.0, 0.0])),
     (tuple(lambda x, a=a, b=b: a @ x + b for a, b in _AFFINE_2D), [0.2, 0.0, 0.8],
      [0.1, 0.2]),
 ])
-def test_vector_probs_walk_is_bit_identical(monkeypatch, maps, p, x0):
-    vector, function = _vector_and_callable(maps, p)
-    n = 2 * _WALK_BLOCK + 3
-    rng_f = make_rng(11)
-    states_f, sels_f = _walk(function, as_state(x0), n, rng_f, 1e12)
-    monkeypatch.setattr(ifs_module, "_step", _no_per_step_loop)
-    rng_v = make_rng(11)
-    states_v, sels_v = _walk(vector, as_state(x0), n, rng_v, 1e12)
-    assert np.array_equal(states_v, states_f)
-    assert sels_v == sels_f and all(type(s) is int for s in sels_v)
-    assert rng_v.bit_generator.state == rng_f.bit_generator.state
-    if 0.0 in p:
-        assert p.index(0.0) not in sels_v
+def test_vector_probs_walk_is_bit_identical(maps, p, x0):
+    for system in _vector_and_callable(maps, p):
+        sels = _assert_walk_matches_stepping(system, x0, _BOUNDARY_STEPS)
+        assert all(type(s) is int for s in sels)
+        if 0.0 in p:
+            assert p.index(0.0) not in sels
+
+
+def _bernoulli_weights(x):
+    """State-dependent selection weights of the Bernoulli maps on [0, 1]."""
+    w = 0.25 + 0.5 * float(np.clip(x[0], 0.0, 1.0))
+    return np.array([w, 1.0 - w])
+
+
+def _scalar_discrete_smpc():
+    problem = MPCProblem(a=[[0.5]], b=[[1.0]], q=[[1.0]], r=[[1.0]], z=[0.0],
+                         noise=NoiseSpec(pattern=((0, 0),), bound=0.005))
+    dcp = DiscreteControlProblem(base=problem,
+                                 controls=(np.array([-0.5]), np.array([0.5])),
+                                 alpha=1.0, saa_samples=5)
+    return discrete_smpc_as_ifs(dcp, saa_seed=7)
+
+
+@pytest.mark.parametrize("make, x0", [
+    # Callable probabilities that do not depend on the state.
+    (lambda: DiscreteIFS(maps=(lambda x: x / 2, lambda x: (x + 1) / 2),
+                         probs=lambda x: np.array([0.5, 0.5])), [0.0]),
+    # State-dependent probabilities, 1-D and 2-D.
+    (lambda: DiscreteIFS(maps=(lambda x: x / 2, lambda x: (x + 1) / 2),
+                         probs=_bernoulli_weights), [0.3]),
+    (lambda: DiscreteIFS(maps=tuple(lambda x, a=a, b=b: a @ x + b for a, b in _AFFINE_2D),
+                         probs=lambda x: np.array([0.2, 0.0, 0.8]) if x[0] < 0.5
+                         else np.array([0.5, 0.25, 0.25])), [0.1, 0.2]),
+    # A map that draws from the step generator, under callable probabilities.
+    (lambda: DiscreteIFS(maps=(lambda x: x / 2, lambda x, rng: (x + rng.random()) / 2),
+                         probs=_bernoulli_weights), [0.3]),
+    # A continuous IFS without ``advance``.
+    (lambda: ContinuousIFS(map=lambda t, x: t * x + (1.0 - t) / 2,
+                           sampler=lambda x, rng: rng.uniform(0.1, 0.9),
+                           param_check=lambda t: 0.0 <= t <= 1.0), [0.3]),
+    (_scalar_discrete_smpc, [1.0]),
+], ids=["callable", "state-dependent", "state-dependent-2d", "rng-aware", "continuous",
+        "discrete-smpc"])
+def test_walk_is_bit_identical_to_stepping(make, x0):
+    _assert_walk_matches_stepping(make(), x0, _BOUNDARY_STEPS)
 
 
 def _grows_past(limit, output):
@@ -401,34 +512,91 @@ def _grows_past(limit, output):
 ])
 def test_vector_probs_walk_fails_as_the_per_step_walk(maps, bound):
     vector, function = _vector_and_callable(maps, [0.5, 0.5])
-    n = 2 * _WALK_BLOCK + 3
-    for run in (lambda ifs: simulate(ifs, [1.0], n, seed=2, divergence_bound=bound),
-                lambda ifs: run_ensemble(ifs, [np.zeros(1), np.ones(1)], n, seed=2,
-                                         divergence_bound=bound)):
-        kind, text = _error_of(lambda: run(vector))
-        assert (kind, text) == _error_of(lambda: run(function))
+    for system in (vector, function):
+        text = _assert_fails_as_stepping(system, _BOUNDARY_STEPS, bound,
+                                         [np.zeros(1), np.ones(1)])
         steps = [int(k) for k in re.findall(r"step (\d+)", text)]
         assert not steps or _WALK_BLOCK <= steps[0] < 2 * _WALK_BLOCK, text
-    kind, text = _error_of(lambda: run_ensemble(vector, [np.ones(1)] * 2, n, seed=2,
-                                                divergence_bound=bound))
+    kind, text = _error_of(lambda: run_ensemble(vector, [np.ones(1)] * 2, _BOUNDARY_STEPS,
+                                                seed=2, divergence_bound=bound))
     if kind is not ValueError:
         assert re.match(r"^particle 0, step \d+: ", text)
 
 
-def test_vector_probs_with_rng_aware_map_takes_the_per_step_loop(monkeypatch):
+def _past(limit, before, after):
+    """``before(x)`` until x[0] reaches ``limit``, then ``after(x)``."""
+    return lambda x: before(x) if x[0] < limit else after(x)
+
+
+@pytest.mark.parametrize("system", [
+    # Callable probabilities that turn invalid inside the second block.
+    DiscreteIFS(maps=(lambda x: x + 1.0, lambda x: x + 1.0),
+                probs=_past(1100, lambda x: np.array([0.5, 0.5]),
+                            lambda x: np.array([0.4, 0.4]))),
+    # State-dependent probabilities and a non-finite output.
+    DiscreteIFS(maps=(_grows_past(1100, lambda x: x * np.inf), lambda x: x + 1.0),
+                probs=_past(500, lambda x: np.array([0.5, 0.5]),
+                            lambda x: np.array([0.9, 0.1]))),
+    # A map that draws from the generator, past the bound.
+    DiscreteIFS(maps=(lambda x, rng: x * (1.0 + rng.random() / 25), lambda x: x + 1.0),
+                probs=lambda x: np.array([0.5, 0.5])),
+    # A continuous IFS without ``advance``: a parameter out of its space,
+    # a non-finite output, a dimension change.
+    ContinuousIFS(map=lambda t, x: x + t,
+                  sampler=lambda x, rng: 2.0 if x[0] >= 1100 else rng.uniform(0.5, 1.0),
+                  param_check=lambda t: 0.0 <= t <= 1.0),
+    ContinuousIFS(map=lambda t, x: x + t if x[0] < 1100 else x * np.inf,
+                  sampler=lambda x, rng: rng.uniform(0.5, 1.0)),
+    ContinuousIFS(map=lambda t, x: x + t if x[0] < 1100 else np.append(x, t),
+                  sampler=lambda x, rng: rng.uniform(0.5, 1.0)),
+], ids=["probs-turn-invalid", "state-dependent-non-finite", "rng-aware-past-bound",
+        "continuous-parameter", "continuous-non-finite", "continuous-dimension"])
+def test_walk_fails_as_stepping(system):
+    _assert_fails_as_stepping(system, _BOUNDARY_STEPS, 1e6, [np.zeros(1), np.ones(1)])
+
+
+def test_callable_probs_never_see_a_non_finite_state():
+    seen = []
+
+    def probs(x):
+        seen.append(x.copy())
+        return np.array([0.5, 0.5])
+
+    system = DiscreteIFS(maps=(_grows_past(1100, lambda x: x * np.inf), lambda x: x + 1.0),
+                         probs=probs)
+    with pytest.raises(NumericalBlowupError, match="non-finite output"):
+        simulate(system, [1.0], _BOUNDARY_STEPS, seed=2)
+    assert np.all(np.isfinite(seen))
+
+
+def test_vector_probs_with_rng_aware_map_takes_the_per_step_loop():
+    # The map's draws fall between the selection draws, so the walk must
+    # draw one selection per step to match stepping.
     maps = (lambda x: x / 2, lambda x, rng: x + rng.random())
-    vector, function = _vector_and_callable(maps, [0.5, 0.5])
-    a = simulate(function, [0.0], 50, seed=3)
-    calls = []
+    for system in _vector_and_callable(maps, [0.5, 0.5]):
+        _assert_walk_matches_stepping(system, [0.0], _BOUNDARY_STEPS)
 
-    def counted_step(*args):
-        calls.append(1)
-        return step_discrete(*args)
 
-    monkeypatch.setattr(ifs_module, "_step", counted_step)
-    b = simulate(vector, [0.0], 50, seed=3)
-    assert len(calls) == 50
-    assert np.array_equal(a.states, b.states) and a.selections == b.selections
+def _grow_to_inf(x):
+    return x + 1.0 if x[0] < 6 else x * np.inf
+
+
+def _advance_to_inf(x, n_steps, rng):
+    states = np.arange(n_steps + 1.0)[:, None] + x
+    states[7:] = np.inf  # stepping ``_grow_to_inf`` from x = 0 makes row 7 at step 6
+    return states
+
+
+@pytest.mark.parametrize("system", [
+    DiscreteIFS(maps=(_grow_to_inf,), probs=np.array([1.0])),
+    DiscreteIFS(maps=(_grow_to_inf,), probs=lambda x: np.array([1.0])),
+    ContinuousIFS(map=lambda t, x: _grow_to_inf(x), sampler=lambda x, rng: 0.0,
+                  advance=_advance_to_inf),
+], ids=["vector", "callable", "advance"])
+def test_infinite_output_fails_under_an_infinite_bound(system):
+    with pytest.raises(NumericalBlowupError,
+                       match=r"^step 6: map( 0)? produced non-finite output at \[6\.\]$"):
+        simulate(system, [0.0], 20, seed=0, divergence_bound=np.inf)
 
 
 @pytest.mark.parametrize("p", [[0.4, 0.4], [-0.2, 1.2], [np.nan, 1.0], [0.5, 0.5, 0.0],
