@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer-argument rule shared across the package."""
+
+import numbers
+
+
+def check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 class InvalidProbabilityError(ValueError):

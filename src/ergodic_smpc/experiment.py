@@ -40,6 +40,7 @@ from .ergodics import (
     stationarity_diagnostic,
     write_histogram_csv,
 )
+from .errors import check_integer
 from .ifs import simulate, write_trajectory_csv
 from .rng import derive_seed
 from .smpc import (
@@ -90,15 +91,10 @@ class ExperimentConfig:
     check_pairs: int = 400
 
     def __post_init__(self):
-        counts = ("n_trials", "n_iterations", "saa_samples", "n_bins",
-                  "check_points", "check_pairs")
-        for name in counts + ("n_windows",):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name in ("n_trials", "n_iterations", "saa_samples", "n_bins",
+                     "check_points", "check_pairs"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("n_windows", self.n_windows)
         tol = self.tolerance
         if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
                 or not (math.isfinite(tol) and tol > 0)):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import inspect
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Any, Callable
@@ -325,27 +326,31 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
         u = 1.0 - rng.random(stop - start) if discrete else [None]
         if cum is not None:
             selections.extend(np.searchsorted(cum, u, side="left").tolist())
-        for k in range(start, stop):
-            try:
-                if cum is not None:
-                    x = np.atleast_1d(np.asarray(ifs.maps[selections[k]](x), dtype=float))
-                else:
-                    x, choice = _apply_choice(ifs, x, u[k - start], rng)
-                    selections.append(choice)
-            except Exception as exc:
-                _screen_rows(states, start, k, divergence_bound, label)
-                if isinstance(exc, _STEP_ERRORS):
-                    raise type(exc)(f"step {k}: {exc}") from exc
-                raise
-            # A step that selects at its state must never see a non-finite one.
-            if x.shape != (d,) or (cum is None and not np.all(np.isfinite(x))):
-                _screen_rows(states, start, k, divergence_bound, label)
-                _check_row(k, states, x, divergence_bound, label(k))
-                if x.size != d:
-                    raise ValueError(f"step {k}: map changed the state dimension")
-                if k + 1 < n_steps:
-                    as_state(x)  # the next step's input check raises
-            states[k + 1] = x
+        # A vector block keeps feeding the maps the states past a blow-up
+        # until it ends; their numpy warnings would precede the error that
+        # screening the block raises.
+        with np.errstate(all="ignore") if cum is not None else nullcontext():
+            for k in range(start, stop):
+                try:
+                    if cum is not None:
+                        x = np.atleast_1d(np.asarray(ifs.maps[selections[k]](x), dtype=float))
+                    else:
+                        x, choice = _apply_choice(ifs, x, u[k - start], rng)
+                        selections.append(choice)
+                except Exception as exc:
+                    _screen_rows(states, start, k, divergence_bound, label)
+                    if isinstance(exc, _STEP_ERRORS):
+                        raise type(exc)(f"step {k}: {exc}") from exc
+                    raise
+                # A step that selects at its state must never see a non-finite one.
+                if x.shape != (d,) or (cum is None and not np.all(np.isfinite(x))):
+                    _screen_rows(states, start, k, divergence_bound, label)
+                    _check_row(k, states, x, divergence_bound, label(k))
+                    if x.size != d:
+                        raise ValueError(f"step {k}: map changed the state dimension")
+                    if k + 1 < n_steps:
+                        as_state(x)  # the next step's input check raises
+                states[k + 1] = x
         _screen_rows(states, start, stop, divergence_bound, label)
     return states, selections
 

@@ -29,9 +29,9 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from numpy.linalg import cholesky as cho_factor
 
-from .errors import SingularNormalMatrixError
+from .errors import SingularNormalMatrixError, check_integer
 from .ifs import ContinuousIFS, DiscreteIFS, as_state
 from .rng import make_rng
 
@@ -197,19 +197,19 @@ class MPCProblem:
         """K = (R + B'QB)^-1 B'Q, so every control is K (z - A_hat x).
 
         Built on first use and kept: one condition-number check, one
-        Cholesky factorization and one solve.  Raises
-        ``SingularNormalMatrixError`` (on every access) when R + B'QB is
-        singular.
+        Cholesky factorization R + B'QB = LL', then one solve with L and
+        one with L'.  Raises ``SingularNormalMatrixError`` (on every
+        access) when R + B'QB is singular.
         """
         mm = self.normal_matrix
         if not np.all(np.isfinite(mm)) or np.linalg.cond(mm) > _COND_LIMIT:
             raise SingularNormalMatrixError(
                 f"normal matrix R + B'QB is singular (condition number > {_COND_LIMIT:.0e})")
         try:
-            factor = cho_factor(mm, check_finite=False)
+            lower = cho_factor(mm)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - cond guard fires first
             raise SingularNormalMatrixError(str(exc)) from exc
-        k_gain = cho_solve(factor, self.b.T @ self.q, check_finite=False)
+        k_gain = np.linalg.solve(lower.T, np.linalg.solve(lower, self.b.T @ self.q))
         k_gain.setflags(write=False)
         return k_gain
 
@@ -265,6 +265,9 @@ class GenerationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("d", self.d, 1)
+        check_integer("m", self.m, 1)
+        check_integer("seed", self.seed)
         object.__setattr__(self, "lam_a", tuple(float(v) for v in self.lam_a))
         object.__setattr__(self, "lam_q", tuple(float(v) for v in self.lam_q))
         object.__setattr__(self, "lam_r", tuple(float(v) for v in self.lam_r))
@@ -304,15 +307,7 @@ class GenerationSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenerationSpec":
-        return cls(
-            lam_a=tuple(data["lam_a"]),
-            lam_q=tuple(data["lam_q"]),
-            lam_r=tuple(data["lam_r"]),
-            d=int(data["d"]),
-            m=int(data["m"]),
-            noise=NoiseSpec.from_dict(data["noise"]),
-            seed=int(data.get("seed", 0)),
-        )
+        return cls(**{**data, "noise": NoiseSpec.from_dict(data["noise"])})
 
 
 @dataclass(frozen=True)

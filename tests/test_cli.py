@@ -2,11 +2,15 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergodic_smpc
 from ergodic_smpc import MPCProblem, read_histogram_csv, read_trajectory_csv
 from ergodic_smpc.cli import build_parser, main
 from ergodic_smpc.conditions import ConditionReport
@@ -215,6 +219,26 @@ def test_reproduce_smoke_pipeline(tmp_path, capsys):
     assert ConditionReport.from_dict(data["linear_sufficient"]).passed
 
 
+def test_package_and_cli_runs_load_no_scipy(tmp_path):
+    # A fresh interpreter: the test session itself may have imported scipy.
+    script = """
+import sys
+from pathlib import Path
+import ergodic_smpc
+from ergodic_smpc.cli import main
+out = Path(sys.argv[1])
+assert main(["reproduce-paper", "--smoke", "--out", str(out / "smoke")]) == 0
+assert main(["generate", "--seed", "4", "--out", str(out / "problem.json")]) == 0
+assert main(["check", str(out / "problem.json"), "--out", str(out / "c.json")]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(ergodic_smpc.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_reproduce_summary_row_count(tmp_path):
     out = tmp_path / "exp"
     assert main(["reproduce-paper", "--smoke", "--trials", "3", "--iters", "400",
@@ -396,8 +420,13 @@ def test_run_experiment_rejects_zero_workers(tmp_path):
     # An x0 of the wrong length for the generated or the given problem.
     ["reproduce-paper", "--config", "short_x0_config.json"],
     ["run", "problem.json", "--config", "short_x0_config.json"],
+    # Fractional or bool counts in a generation spec; the error names the file.
+    ["generate", "--spec", "fractional_counts_spec.json"],
+    ["reproduce-paper", "--config", "fractional_counts_config.json"],
+    ["reproduce-paper", "--config", "bool_count_config.json"],
 ])
-def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, argv):
+def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                       argv):
     monkeypatch.chdir(tmp_path)
     main(["generate", "--seed", "4", "--out", "problem.json"])
     Path("bad_config.json").write_text(json.dumps({"burn_in_frac": 1.5}))
@@ -425,6 +454,13 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ar
     Path("short_x0_config.json").write_text(json.dumps({**small, "x0": [1.0]}))
     Path("fractional_seed_spec.json").write_text(json.dumps(
         {**ExperimentConfig().generation.to_dict(), "seed": 1.5}))
+    fractional = {**ExperimentConfig().generation.to_dict(), "d": 4.5, "m": 4.9}
+    Path("fractional_counts_spec.json").write_text(json.dumps(fractional))
+    Path("fractional_counts_config.json").write_text(json.dumps(
+        {**small, "generation": fractional}))
+    Path("bool_count_config.json").write_text(json.dumps(
+        {**small, "generation": {**ExperimentConfig().generation.to_dict(), "m": True,
+                                 "lam_r": [1.0]}}))
     argv = list(argv)
     while "=" in argv[0]:  # leading NAME=value entries set the environment
         name, value = argv.pop(0).split("=", 1)
@@ -433,6 +469,8 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ar
         main(argv + ["--out", "out"])
     assert exc.value.code == 2
     assert not Path("out").exists()
+    if "count" in argv[-1]:
+        assert f"{argv[-1]}: ValueError: " in capsys.readouterr().err
 
 
 def test_bad_seed_exit_names_its_source(tmp_path, monkeypatch, capsys):

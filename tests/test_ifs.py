@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -597,6 +598,19 @@ def test_infinite_output_fails_under_an_infinite_bound(system):
     with pytest.raises(NumericalBlowupError,
                        match=r"^step 6: map( 0)? produced non-finite output at \[6\.\]$"):
         simulate(system, [0.0], 20, seed=0, divergence_bound=np.inf)
+
+
+def test_vector_block_past_a_blow_up_emits_no_numpy_warning():
+    # Map 0 turns the state infinite at x = 5; the block goes on feeding
+    # inf to both maps, and inf - inf would warn, until its rows are screened.
+    ifs = DiscreteIFS(maps=(lambda x: x + 1.0 if x[0] < 5 else x * np.inf,
+                            lambda x: x - x + 1.0), probs=np.array([0.5, 0.5]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalBlowupError) as exc:
+            simulate(ifs, [0.0], 200, seed=0)
+    assert str(exc.value) == "step 8: map 0 produced non-finite output at [5.]"
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("p", [[0.4, 0.4], [-0.2, 1.2], [np.nan, 1.0], [0.5, 0.5, 0.0],

@@ -528,8 +528,9 @@ def test_discrete_adapter_probability_validity(four_state_problem):
 def test_expected_cost_matches_monte_carlo(scalar_problem):
     # Closed-form expectation against a large Monte Carlo average.
     x, u = np.array([2.0]), np.array([-0.4])
-    rng = make_rng(17)
-    draws = [plant_step(scalar_problem, x, u, rng) for _ in range(200_000)]
-    resid = np.array(draws)[:, 0] - scalar_problem.z[0]
+    # The draws of 200 000 ``plant_step`` calls on make_rng(17), in one call.
+    xi = scalar_problem.noise.sample_entries(make_rng(17), 200_000)[:, 0]
+    x_next = (scalar_problem.a[0, 0] + xi) * x[0] + scalar_problem.b[0, 0] * u[0]
+    resid = x_next - scalar_problem.z[0]
     mc = float(np.mean(resid ** 2)) + float(u @ scalar_problem.r @ u)
     assert expected_cost(scalar_problem, x, u) == pytest.approx(mc, abs=5e-5)
