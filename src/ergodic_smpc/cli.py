@@ -71,15 +71,24 @@ def _build_config(args, parser: argparse.ArgumentParser,
     ``x0`` must have ``dim`` entries, by default the generation spec's ``d``.
     An invalid file or value exits 2 through ``parser.error``.
     """
+    path = getattr(args, "config", None)
+
+    def parse(data):
+        # The seed rule runs before the config's own checks, so a bad seed
+        # in the file exits naming the file.
+        data = dict(data)
+        data["seed"] = _resolve_seed(args.seed, data, path, parser)
+        return data, ExperimentConfig.from_dict(data)
+
     data, config = {}, ExperimentConfig()
-    if getattr(args, "config", None) is not None:
-        data, config = _read(args.config, lambda d: (d, ExperimentConfig.from_dict(d)), parser)
+    if path is not None:
+        data, config = _read(path, parse, parser)
     try:
         if getattr(args, "smoke", False):
             config = config.smoke()
         updates = {f.name: getattr(args, f.name) for f in fields(config)
                    if getattr(args, f.name, None) is not None}
-        updates["seed"] = _resolve_seed(args.seed, data, getattr(args, "config", None), parser)
+        updates["seed"] = _resolve_seed(args.seed, data, path, parser)
         config = replace(config, **updates)
         config.check_x0(config.generation.d if dim is None else dim)
         return config

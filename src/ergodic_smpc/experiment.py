@@ -95,6 +95,7 @@ class ExperimentConfig:
                      "check_points", "check_pairs"):
             check_integer(name, getattr(self, name), 1)
         check_integer("n_windows", self.n_windows)
+        check_integer("seed", self.seed)
         tol = self.tolerance
         if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
                 or not (math.isfinite(tol) and tol > 0)):

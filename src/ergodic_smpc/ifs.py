@@ -7,7 +7,7 @@ parameter is drawn from a state-dependent distribution.  One walk steps
 both, drawing a discrete system's selections a block at a time, with
 the results of stepping one draw at a time; a continuous IFS may also
 supply ``advance``, a whole-path kernel that gives the states of that
-stepping in one call.  All randomness flows through explicitly keyed
+stepping for a stack of particles in one call.  All randomness flows through explicitly keyed
 generators, so trajectories and particle ensembles are bit-reproducible
 and independent of scheduling order.
 """
@@ -57,6 +57,9 @@ _CSV_BLOCK = 1024
 # Steps whose selection uniforms the walk draws at once; they are a
 # block's only extra memory.
 _WALK_BLOCK = 1024
+# State rows (steps + 1 times particles) of one run_ensemble chunk through
+# ``advance``: as many as one path of _WALK_BLOCK steps.
+_CHUNK_ROWS = _WALK_BLOCK + 1
 # Errors a failing step re-raises with its step index prefixed.
 _STEP_ERRORS = (InvalidProbabilityError, NumericalBlowupError, ParameterDomainError)
 
@@ -143,11 +146,13 @@ class ContinuousIFS:
     required by the stopping-time check.  ``param_check(t)`` optionally
     guards the sampler's output domain.
 
-    ``advance(x, n_steps, rng)``, when given, returns the (n_steps + 1, d)
-    states that stepping ``sampler`` and ``map`` from x with the same
-    generator would produce, up to and including the first non-finite
-    state (later rows are unspecified).  ``simulate`` and ``run_ensemble``
-    call it instead of stepping and check its rows as they check steps.
+    ``advance(xs, n_steps, rngs)``, when given, takes a stack of states xs
+    (P, d) and one generator per row, and returns the (n_steps + 1, P, d)
+    states whose column p is what stepping ``sampler`` and ``map`` from
+    xs[p] with ``rngs[p]`` would produce, up to and including the column's
+    first non-finite state (later rows are unspecified).  ``simulate``
+    calls it with P = 1 and ``run_ensemble`` with chunks of particles,
+    instead of stepping, and both check its rows as they check steps.
     """
 
     map: Callable[[Any, np.ndarray], np.ndarray]
@@ -155,7 +160,7 @@ class ContinuousIFS:
     density: Callable[[float, np.ndarray], float] | None = None
     param_check: Callable[[Any], bool] | None = None
     param_range: tuple[float, float] | None = None
-    advance: Callable[[np.ndarray, int, np.random.Generator], np.ndarray] | None = None
+    advance: Callable[[np.ndarray, int, list], np.ndarray] | None = None
 
     def validate_density(self, x, tol: float = 1e-6) -> float:
         """Quadrature check that the density at x integrates to one."""
@@ -269,18 +274,41 @@ def _check_row(k: int, states: np.ndarray, row: np.ndarray, divergence_bound: fl
 
 
 def _screen_rows(states: np.ndarray, first: int, stop: int, divergence_bound: float,
-                 label: Callable[[int], str]) -> None:
+                 label: Callable[[int], str], first_particle: int | None = None) -> None:
     """Check the rows that steps first..stop-1 produced; raise at the first bad one.
 
+    ``states`` is one path (n + 1, d) or, with ``first_particle``, the
+    stacked paths (n + 1, P, d) of particles first_particle,
+    first_particle + 1, ...; a stack raises at its lowest failing
+    particle's first failing step, with ``particle i, `` prefixed.
     ||x|| <= sqrt(d) max|x_i|, so a row passing the screen passes the norm
     check with room for rounding; NaN and infinite rows fail it even when
     the bound is infinite.  Only rows that fail it get the exact checks,
     labelled with ``label(k)``.
     """
-    peak = np.abs(states[first + 1:stop + 1]).max(axis=1) * (2 * states.shape[1])
-    for j in np.flatnonzero(~((peak <= divergence_bound) & (peak < np.inf))):
+    paths = states.reshape(states.shape[0], -1, states.shape[-1])
+    peak = np.abs(paths[first + 1:stop + 1]).max(axis=2) * (2 * paths.shape[2])
+    flagged = ~((peak <= divergence_bound) & (peak < np.inf))
+    # Row-major over (particle, step): lowest particle first, then its steps.
+    for p, j in np.argwhere(flagged.T):
         k = first + int(j)
-        _check_row(k, states, states[k + 1], divergence_bound, label(k))
+        try:
+            _check_row(k, paths[:, p], paths[k + 1, p], divergence_bound, label(k))
+        except NumericalBlowupError as exc:
+            if first_particle is None:
+                raise
+            raise NumericalBlowupError(f"particle {first_particle + p}, {exc}") from exc
+
+
+def _advance(ifs: ContinuousIFS, xs: np.ndarray, n_steps: int, rngs: list,
+             divergence_bound: float, first_particle: int | None = None) -> np.ndarray:
+    """The checked (n_steps + 1, P, d) states of ``ifs.advance`` from xs (P, d)."""
+    states = ifs.advance(xs, n_steps, rngs)
+    if states.shape != (n_steps + 1,) + xs.shape:
+        raise ValueError(f"advance returned shape {states.shape}, "
+                         f"expected {(n_steps + 1,) + xs.shape}")
+    _screen_rows(states, 0, n_steps, divergence_bound, lambda k: "map", first_particle)
+    return states
 
 
 def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
@@ -301,12 +329,7 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
     so every failure is the error of stepping one at a time.
     """
     if isinstance(ifs, ContinuousIFS) and ifs.advance is not None:
-        states = ifs.advance(x, n_steps, rng)
-        if states.shape != (n_steps + 1, x.size):
-            raise ValueError(f"advance returned shape {states.shape}, "
-                             f"expected {(n_steps + 1, x.size)}")
-        _screen_rows(states, 0, n_steps, divergence_bound, lambda k: "map")
-        return states, None
+        return _advance(ifs, x[None], n_steps, [rng], divergence_bound)[:, 0], None
     discrete = isinstance(ifs, DiscreteIFS)
     if not discrete and not isinstance(ifs, ContinuousIFS):
         raise TypeError(f"not an IFS: {type(ifs).__name__}")
@@ -380,21 +403,33 @@ def run_ensemble(ifs, initial_measure, n_steps: int, seed: int,
     Each particle gets its own (seed, particle id) stream, so the result
     does not depend on evaluation order and the particle count is
     preserved in the returned measure.  Step failures carry the particle
-    and step index.
+    and step index; the lowest failing particle raises.  A continuous IFS
+    with ``advance`` advances the particles in chunks whose states hold
+    about ``_CHUNK_ROWS`` rows, one ``advance`` call per chunk.
     """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
     particles = [as_state(p) for p in initial_measure]
     if not particles:
         raise ValueError("initial_measure must contain at least one particle")
     dim = particles[0].size
+    if any(x.size != dim for x in particles):
+        raise ValueError("all particles must share one dimension")
     finals = np.empty((len(particles), dim))
-    for i, x in enumerate(particles):
-        if x.size != dim:
-            raise ValueError("all particles must share one dimension")
-        try:
-            states, _ = _walk(ifs, x, n_steps, make_rng(seed, i), divergence_bound)
-        except _STEP_ERRORS as exc:
-            raise type(exc)(f"particle {i}, {exc}") from exc
-        finals[i] = states[-1]
+    if isinstance(ifs, ContinuousIFS) and ifs.advance is not None:
+        chunk = max(1, _CHUNK_ROWS // (n_steps + 1))
+        for lo in range(0, len(particles), chunk):
+            xs = np.array(particles[lo:lo + chunk])
+            rngs = [make_rng(seed, i) for i in range(lo, lo + len(xs))]
+            finals[lo:lo + len(xs)] = _advance(ifs, xs, n_steps, rngs, divergence_bound,
+                                               lo)[-1]
+    else:
+        for i, x in enumerate(particles):
+            try:
+                states, _ = _walk(ifs, x, n_steps, make_rng(seed, i), divergence_bound)
+            except _STEP_ERRORS as exc:
+                raise type(exc)(f"particle {i}, {exc}") from exc
+            finals[i] = states[-1]
     return histogram_from_samples(finals, n_bins=n_bins, range_=range_)
 
 

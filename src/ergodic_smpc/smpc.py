@@ -17,7 +17,8 @@ Cholesky-factors it once and keeps the gain K = (R + B'QB)^-1 B'Q
 K (z - A_hat x), with A_hat = A for the exact controller and A + mean of
 the draws for the SAA controller; the closed-loop adapters, the fixed
 point and the certified contraction bound all read the same K.  Whole SAA
-trajectories run with the noise drawn in blocks of steps (``_saa_path``).
+trajectories, of one particle or a stack, run with the noise drawn in
+blocks of steps (``_saa_path``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import cholesky as cho_factor
 
-from .errors import SingularNormalMatrixError, check_integer
+from .errors import NumericalBlowupError, SingularNormalMatrixError, check_integer
 from .ifs import ContinuousIFS, DiscreteIFS, as_state
 from .rng import make_rng
 
@@ -59,8 +60,8 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _SYM_TOL = 1e-9
-# Steps per noise block of ``_saa_path``: one block holds ~1.6 MB of
-# draws at J = 100 with two noise entries.
+# Step-rows (steps times particles) per draw tile of ``_saa_path``: one
+# tile holds ~1.6 MB of draws at J = 100 with two noise entries.
 _SAA_BLOCK = 1024
 
 
@@ -372,9 +373,9 @@ def generate_problem(spec: GenerationSpec, seed: int | None = None) -> MPCProble
 
 
 def _perturbed(problem: MPCProblem, entries: np.ndarray) -> np.ndarray:
-    """A + Xi for each row of a (c, k) entry block, as one (c, d, d) array."""
-    out = np.zeros((entries.shape[0], problem.d, problem.d))
-    out[(slice(None),) + problem.noise.index] = entries
+    """A + Xi for each row of an (..., k) entry block, as one (..., d, d) array."""
+    out = np.zeros(entries.shape[:-1] + (problem.d, problem.d))
+    out[(Ellipsis,) + problem.noise.index] = entries
     out += problem.a
     return out
 
@@ -384,37 +385,64 @@ def _saa_control(problem: MPCProblem, x: np.ndarray, draws: np.ndarray) -> np.nd
     return problem.gain @ (problem.z - a_bar @ x)
 
 
-def _saa_path(problem: MPCProblem, x0, n_steps: int, j_samples: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """States (n_steps + 1, d) of the SAA loop from x0.
+def _saa_path(problem: MPCProblem, xs, n_steps: int, j_samples: int,
+              rngs) -> np.ndarray:
+    """States (n_steps + 1, P, d) of the SAA loop from each row of xs (P, d).
 
-    Each step's (J + 1, k) noise draws are taken in blocks of
-    ``_SAA_BLOCK`` steps from ``rng``, which is the same draw sequence,
-    and the per-step arithmetic is that of ``_saa_control`` followed by
-    the plant update, so the states are bit-identical to stepping
-    ``smpc_closed_loop_ifs`` with the same generator.  Once a block holds
-    a non-finite state the run stops; the rows after that block are NaN.
+    Particle p draws from ``rngs[p]``.  The draws come in time blocks of
+    c = max(1, ``_SAA_BLOCK`` // P) steps.  A block allocates one
+    (P, c, J + 1, k) tile and fills it with one ``sample_entries`` call
+    per particle, which is the draw sequence of stepping, so each
+    generator ends where stepping leaves it.
+    The per-step arithmetic is that of ``_saa_control`` followed by the
+    plant update, on a stack of (d, 1) columns, so row p is bit-identical
+    to stepping ``smpc_closed_loop_ifs`` from xs[p] with ``rngs[p]``.
+    Once every particle holds a non-finite state the run stops; the rows
+    after that block are NaN.
     """
     if j_samples < 1:
         raise ValueError("j_samples must be >= 1")
     d, k = problem.d, problem.noise.n_entries
-    x = as_state(x0, d)
-    states = np.empty((n_steps + 1, d))
-    states[0] = x
-    k_gain, z, b = problem.gain, problem.z, problem.b
-    # Past a blow-up the remaining steps of its block only propagate inf
-    # and NaN; the caller reports the first bad state.
+    n_parts = len(rngs)
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (n_parts, d):
+        raise ValueError(f"states have shape {xs.shape}, expected {(n_parts, d)}")
+    if not np.all(np.isfinite(xs)):
+        raise NumericalBlowupError(f"states contain non-finite entries: {xs}")
+    states = np.empty((n_steps + 1, n_parts, d))
+    states[0] = xs
+    block = max(1, min(_SAA_BLOCK // n_parts, n_steps))
+    n_draws = j_samples + 1
+    # A stack steps as (P, d, 1) columns.  A lone path steps a (d,) vector:
+    # its (d, d) @ (d,) products run ~10% faster than (d, d) @ (d, 1) ones,
+    # with the same bits.
+    lead, col = ((n_parts,), (1,)) if n_parts > 1 else ((), ())
+    rows = states.reshape((n_steps + 1,) + lead + (d,) + col)
+    x = rows[0]
+    k_gain, z, b = problem.gain, problem.z.reshape((d,) + col), problem.b
+    # Past a blow-up the remaining steps only propagate inf and NaN; the
+    # caller reports each particle's first bad state.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, _SAA_BLOCK):
-            c = min(_SAA_BLOCK, n_steps - start)
-            t = problem.noise.sample_entries(rng, c * (j_samples + 1))
-            t = t.reshape(c, j_samples + 1, k)
-            a_bar = _perturbed(problem, t[:, :-1].mean(axis=1))
-            a_plant = _perturbed(problem, t[:, -1])
+        for start in range(0, n_steps, block):
+            c = min(block, n_steps - start)
+            if n_parts == 1:  # a lone path's draws are its tile, uncopied
+                tile = problem.noise.sample_entries(rngs[0], c * n_draws)
+            else:
+                tile = np.empty((n_parts, c * n_draws, k))
+                for p, rng in enumerate(rngs):
+                    tile[p] = problem.noise.sample_entries(rng, c * n_draws)
+            tile = tile.reshape(n_parts, c, n_draws, k)
+            # Time-major entries, so step i reads one contiguous (P, d, d) slab.
+            shape = (c,) + lead + (k,)
+            bar = tile[:, :, :-1].mean(axis=2).swapaxes(0, 1).reshape(shape)
+            plant = tile[:, :, -1].swapaxes(0, 1).reshape(shape).copy()
+            # The tile is the kernel's largest array: free it before the stacks.
+            del tile
+            a_bar, a_plant = _perturbed(problem, bar), _perturbed(problem, plant)
             for i in range(c):
                 x = a_plant[i] @ x + b @ (k_gain @ (z - a_bar[i] @ x))
-                states[start + i + 1] = x
-            if not np.isfinite(states[start + 1:start + c + 1]).all():
+                rows[start + i + 1] = x
+            if not np.isfinite(states[start + 1:start + c + 1]).all(axis=(0, 2)).any():
                 states[start + c + 1:] = np.nan
                 break
     return states
@@ -491,8 +519,8 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
     sample-average controller and the last row is the plant draw.
     Stepping the adapter is draw-for-draw identical to calling
     ``saa_control`` followed by ``plant_step`` with the same generator.
-    Its ``advance`` runs whole paths through ``_saa_path``, which gives
-    the same states as stepping.
+    Its ``advance`` runs stacks of whole paths through ``_saa_path``,
+    which gives the same states as stepping.
     """
     if j_samples < 1:
         raise ValueError("j_samples must be >= 1")
@@ -504,8 +532,8 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
         x = as_state(x, problem.d)
         return _apply_plant(problem, x, _saa_control(problem, x, t[:-1]), t[-1])
 
-    def advance(x, n_steps, rng):
-        return _saa_path(problem, x, n_steps, j_samples, rng)
+    def advance(xs, n_steps, rngs):
+        return _saa_path(problem, xs, n_steps, j_samples, rngs)
 
     return ContinuousIFS(map=apply, sampler=sampler, advance=advance)
 

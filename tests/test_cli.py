@@ -373,10 +373,16 @@ def test_ifs_demo_custom_file(tmp_path):
                                     {"tolerance": float("nan")}, {"tolerance": float("inf")},
                                     {"tolerance": True}, {"n_trials": 2.5},
                                     {"n_iterations": 1000.0}, {"n_bins": True},
-                                    {"n_windows": "4"}, {"check_pairs": None}])
+                                    {"n_windows": "4"}, {"check_pairs": None},
+                                    {"seed": 1.5}, {"seed": True}])
 def test_config_rejects_invalid_fields(fields):
     with pytest.raises(ValueError):
         ExperimentConfig(**fields)
+
+
+def test_config_from_dict_rejects_fractional_seed():
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        ExperimentConfig.from_dict({"seed": 1.5})
 
 
 def test_run_experiment_rejects_zero_workers(tmp_path):

@@ -9,6 +9,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
+from ergodic_smpc import (GenerationSpec, closed_loop_fixed_point, generate_problem,
+                          run_ensemble, smpc_closed_loop_ifs)
 from ergodic_smpc.cli import main
 from ergodic_smpc.experiment import ExperimentConfig
 
@@ -25,6 +29,10 @@ CHECK_SEED_0_DIGEST = "d4dd47722adcca6f5ead21e1847e296fc156adf6a43309051c73d78e6
 # ``ifs-demo bernoulli --seed 4`` at its default 100 000 steps: the
 # constant-probability walk draws its selections in ~98 blocks.
 DEMO_DEFAULT_SEED_4_DIGEST = "c903172cdbaff3c7cc928f2895f1fa5a3c54d0b66392fc5620aaa8578b2a86b6"
+# The edges and proportions bytes of ``run_ensemble`` of the J = 100 SAA loop
+# of problem seed 3: 1000 particles uniform on m* +/- 0.5 drawn from
+# ``default_rng(3)``, 20 steps, seed 7.
+ENSEMBLE_SEED_7_DIGEST = "3e4853c57de2a2d72031cfd6b54c91a7c8c03eed0a18b7f18c8582da9aea68d5"
 
 
 def tree_digest(root) -> str:
@@ -96,3 +104,15 @@ def test_check_matches_golden_digest_with_config_defaults(tmp_path, capsys):
     defaults = ExperimentConfig()
     assert (sampling["n_points"], sampling["n_pairs"]) == (defaults.check_points,
                                                            defaults.check_pairs)
+
+
+def test_ensemble_matches_golden_digest():
+    problem = generate_problem(GenerationSpec.default(), seed=3)
+    m_star = closed_loop_fixed_point(problem)
+    particles = m_star + np.random.default_rng(3).uniform(-0.5, 0.5, size=(1000, m_star.size))
+    measure = run_ensemble(smpc_closed_loop_ifs(problem, 100), particles, 20, seed=7)
+    h = hashlib.sha256()
+    for edges, props in zip(measure.edges, measure.proportions):
+        h.update(edges.tobytes())
+        h.update(props.tobytes())
+    assert h.hexdigest() == ENSEMBLE_SEED_7_DIGEST

@@ -20,6 +20,7 @@ from ergodic_smpc import (
     read_trajectory_csv,
     run_ensemble,
     simulate,
+    smpc_closed_loop_ifs,
     step_continuous,
     step_discrete,
     write_trajectory_csv,
@@ -239,6 +240,16 @@ def test_run_ensemble_blowup_names_particle():
                      divergence_bound=1e3)
 
 
+@pytest.mark.parametrize("system", [
+    smpc_closed_loop_ifs(MPCProblem(a=[[0.5]], b=[[1.0]], q=[[1.0]], r=[[1.0]], z=[0.0],
+                                    noise=NoiseSpec(pattern=((0, 0),), bound=0.1)), 3),
+    DiscreteIFS(maps=(lambda x: x / 2,), probs=np.array([1.0])),
+], ids=["advance", "discrete"])
+def test_run_ensemble_rejects_negative_steps(system):
+    with pytest.raises(ValueError, match="^n_steps must be >= 0$"):
+        run_ensemble(system, [np.zeros(1)], -1, seed=0)
+
+
 def test_map_changing_dimension_is_rejected():
     ifs = DiscreteIFS(maps=(lambda x: np.append(x, 0.0),), probs=lambda x: np.array([1.0]))
     with pytest.raises(ValueError, match="^step 0: map changed the state dimension"):
@@ -318,10 +329,9 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
 
 
 def test_simulate_checks_advance_rows():
-    def advance(x, n_steps, rng):
-        states = np.tile(x, (n_steps + 1, 1))
-        if x[0] == 1.0:
-            states[5:] = np.nan  # step 4 produces row 5
+    def advance(xs, n_steps, rngs):
+        states = np.tile(xs, (n_steps + 1, 1, 1))
+        states[5:, xs[:, 0] == 1.0] = np.nan  # step 4 produces row 5
         return states
 
     ifs = ContinuousIFS(map=lambda t, x: x, sampler=lambda x, rng: 0.0, advance=advance)
@@ -333,7 +343,7 @@ def test_simulate_checks_advance_rows():
     with pytest.raises(NumericalBlowupError, match="^step 0: state norm"):
         simulate(ifs, [2.0], 3, seed=0, divergence_bound=1.5)
     short = ContinuousIFS(map=lambda t, x: x, sampler=lambda x, rng: 0.0,
-                          advance=lambda x, n, rng: np.tile(x, (n, 1)))
+                          advance=lambda xs, n, rngs: np.tile(xs, (n, 1, 1)))
     with pytest.raises(ValueError, match="advance returned shape"):
         simulate(short, [1.0], 3, seed=0)
 
@@ -582,8 +592,8 @@ def _grow_to_inf(x):
     return x + 1.0 if x[0] < 6 else x * np.inf
 
 
-def _advance_to_inf(x, n_steps, rng):
-    states = np.arange(n_steps + 1.0)[:, None] + x
+def _advance_to_inf(xs, n_steps, rngs):
+    states = np.arange(n_steps + 1.0)[:, None, None] + xs
     states[7:] = np.inf  # stepping ``_grow_to_inf`` from x = 0 makes row 7 at step 6
     return states
 

@@ -29,6 +29,7 @@ from ergodic_smpc import (
     step_continuous,
     step_discrete,
 )
+from ergodic_smpc import ifs as ifs_module
 from ergodic_smpc.ifs import evaluate_probs
 from ergodic_smpc.rng import make_rng
 from ergodic_smpc.smpc import _SAA_BLOCK
@@ -270,7 +271,7 @@ def test_saa_path_matches_stepping_across_blocks(j_samples):
     # The kernel draws exactly the steps' noise: the generator ends where
     # stepping leaves it.
     rng_path, rng_step = make_rng(5), make_rng(5)
-    loop.advance(x0, 7, rng_path)
+    loop.advance(x0[None], 7, [rng_path])
     _stepped_states(loop, x0, 7, rng_step)
     assert rng_path.random() == rng_step.random()
 
@@ -316,6 +317,91 @@ def test_saa_path_blowup_matches_stepping(growth, bound, sim_step, ens_step):
                          divergence_bound=bound)
         errors.append(str(info.value))
     assert errors[:2] == errors[2:]
+
+
+def _ensemble_finals(monkeypatch, system, particles, n_steps, seed):
+    """The final positions that ``run_ensemble`` bins."""
+    finals = []
+    monkeypatch.setattr(ifs_module, "histogram_from_samples",
+                        lambda samples, **kwargs: finals.append(samples.copy()))
+    run_ensemble(system, particles, n_steps, seed=seed)
+    return finals[0]
+
+
+def test_run_ensemble_chunks_match_stepping(monkeypatch):
+    # 1100 particles of 20 steps: 22 full chunks and a partial last one.
+    problem = generate_problem(GenerationSpec.default(), seed=3)
+    loop = smpc_closed_loop_ifs(problem, 100)
+    particles = closed_loop_fixed_point(problem) + make_rng(9).uniform(-0.5, 0.5, (1100, 4))
+    chunk = ifs_module._CHUNK_ROWS // 21
+    assert len(particles) // chunk > 2 and len(particles) % chunk
+    fast = _ensemble_finals(monkeypatch, loop, particles, 20, 7)
+    slow = _ensemble_finals(monkeypatch, dataclasses.replace(loop, advance=None),
+                            particles, 20, 7)
+    assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("d, j_samples", [(4, 1), (4, 100), (1, 1), (1, 100)])
+def test_stacked_advance_matches_stepping_across_time_blocks(d, j_samples):
+    if d == 1:
+        problem = MPCProblem(a=[[0.5]], b=[[1.0]], q=[[1.0]], r=[[1.0]], z=[0.2],
+                             noise=NoiseSpec(pattern=((0, 0),), bound=0.05))
+    else:
+        problem = generate_problem(GenerationSpec.default(), seed=3)
+    loop = smpc_closed_loop_ifs(problem, j_samples)
+    # 50 particles take 20 steps per time block: 70 steps cross three block ends.
+    xs = make_rng(1).uniform(-1.0, 1.0, (50, d))
+    assert 70 > 3 * (_SAA_BLOCK // len(xs))
+    rngs = [make_rng(3, p) for p in range(len(xs))]
+    states = loop.advance(xs, 70, rngs)
+    assert states.shape == (71, 50, d)
+    for p, x0 in enumerate(xs):
+        rng_step = make_rng(3, p)
+        assert np.array_equal(states[:, p], _stepped_states(loop, x0, 70, rng_step))
+        # Each generator ends where stepping leaves it.
+        assert rngs[p].random() == rng_step.random()
+
+
+def test_stacked_advance_steps_the_other_particles_past_a_blow_up():
+    loop = smpc_closed_loop_ifs(_diverging_problem(1e30), 4)
+    xs = np.zeros((50, 2))
+    xs[1] = 1.0
+    states = loop.advance(xs, 70, [make_rng(3, p) for p in range(len(xs))])
+    # Particle 1 overflows within the first 20-step time block; particle 0
+    # sits at a fixed point through every block.
+    assert not np.isfinite(states[20, 1]).any()
+    assert np.array_equal(states[:, 0], np.zeros((71, 2)))
+
+
+def _error_of(run):
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("growth, bound", [(10.0, 1e12), (1e30, np.inf)])
+@pytest.mark.parametrize("failing", [
+    {(2, 4): 1.0},                   # a later chunk
+    {(1, 1): 1.0, (1, 2): 100.0},    # the second particle of a chunk; the third fails sooner
+], ids=["later-chunk", "second-in-chunk"])
+def test_stacked_blowup_fails_as_the_per_particle_loop(growth, bound, failing):
+    # (chunk, position in the chunk) -> scale of the particle's start; the
+    # other particles sit at the origin, a fixed point.
+    loop = smpc_closed_loop_ifs(_diverging_problem(growth), 4)
+    chunk = ifs_module._CHUNK_ROWS // 21
+    failing = {c * chunk + i: scale for (c, i), scale in failing.items()}
+    particles = np.zeros((3 * chunk, 2))
+    for i, scale in failing.items():
+        particles[i] = scale
+    # Without an errstate: no numpy warning may escape the stacked kernel.
+    kind, text = _error_of(lambda: run_ensemble(loop, particles, 20, seed=2,
+                                                divergence_bound=bound))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _error_of(lambda: run_ensemble(
+            dataclasses.replace(loop, advance=None), particles, 20, seed=2,
+            divergence_bound=bound))
+    assert (kind, text) == expected
+    assert kind is NumericalBlowupError and text.startswith(f"particle {min(failing)}, step ")
 
 
 # The controls are K (z - A_hat x) with a gain solved once per problem; the
