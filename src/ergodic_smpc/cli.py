@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .ergodics import ks_distance_to_cdf
-from .errors import NumericalBlowupError
+from .errors import NumericalBlowupError, check_integer
 from .experiment import (
     ExperimentConfig,
     atomic_write_text,
@@ -50,9 +50,10 @@ def _resolve_seed(flag_seed: int | None, file_data: dict, file_name: str | None,
             continue
         if isinstance(seed, str) and re.fullmatch(r"\s*[+-]?\d+\s*", seed):
             seed = int(seed)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            parser.error(f"{source}: seed must be an integer, got {seed!r}")
-        return seed
+        try:
+            return check_integer("seed", seed)
+        except ValueError as exc:
+            parser.error(f"{source}: {exc}")
     return 0
 
 
@@ -139,8 +140,10 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_reproduce_paper(args, parser: argparse.ArgumentParser) -> int:
     config = _build_config(args, parser)
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
+    try:
+        check_integer("--workers", args.workers, 1)
+    except ValueError as exc:
+        parser.error(str(exc))
     results = run_experiment(config, args.out, workers=args.workers)
     for res in results:
         if res.ok:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidDensityError
+from .errors import EvaluationError, InvalidDensityError, check_integer
 from .ifs import ContinuousIFS, DiscreteIFS, evaluate_probs
 from .rng import derive_seed, make_rng
 from .smpc import MPCProblem
@@ -66,6 +66,7 @@ class DomainBox:
 
     @classmethod
     def cube(cls, lo: float, hi: float, d: int) -> "DomainBox":
+        d = check_integer("d", d, 1)
         return cls(np.full(d, float(lo)), np.full(d, float(hi)))
 
     @property
@@ -172,6 +173,9 @@ def _candidate_pairs(box: DomainBox, n_pairs: int, seed: int):
     n_pairs is a prefix of the set for a larger one -- estimates built on
     them are monotone in n_pairs.
     """
+    check_integer("n_pairs", n_pairs, 1)
+    if box.diameter == 0.0:
+        raise ValueError("box must be nondegenerate in at least one coordinate")
     eps = _PERTURBATION_SCALE * box.diameter
     for i in range(n_pairs):
         rng = make_rng(seed, i)
@@ -190,6 +194,16 @@ def _candidate_pairs(box: DomainBox, n_pairs: int, seed: int):
                 break
 
 
+def _first_max(candidates, score: Callable) -> tuple[float, object]:
+    """The highest score and the first candidate reaching it; (-inf, None) if none."""
+    best, witness = -np.inf, None
+    for candidate in candidates:
+        value = score(candidate)
+        if value > best:
+            best, witness = value, candidate
+    return best, witness
+
+
 def estimate_lipschitz(f: Callable, box: DomainBox, n_pairs: int, seed: int) -> LipschitzEstimate:
     """Sampled lower bound max ||f(x) - f(y)|| / ||x - y|| over the box.
 
@@ -197,18 +211,12 @@ def estimate_lipschitz(f: Callable, box: DomainBox, n_pairs: int, seed: int) -> 
     1e-4 times the box diameter, which picks up local slope maxima that
     far-apart pairs average away.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    if box.diameter == 0.0:
-        raise ValueError("box must be nondegenerate in at least one coordinate")
-    best = -1.0
-    witness = None
-    for x, y in _candidate_pairs(box, n_pairs, seed):
-        ratio = float(np.linalg.norm(_eval_finite(f, x) - _eval_finite(f, y))
-                      / np.linalg.norm(x - y))
-        if ratio > best:
-            best = ratio
-            witness = (x, y)
+    def ratio(pair):
+        x, y = pair
+        return float(np.linalg.norm(_eval_finite(f, x) - _eval_finite(f, y))
+                     / np.linalg.norm(x - y))
+
+    best, witness = _first_max(_candidate_pairs(box, n_pairs, seed), ratio)
     if witness is None:
         raise RuntimeError("no usable sample pairs were generated")
     return LipschitzEstimate(value=max(best, 0.0), witness=witness,
@@ -221,17 +229,12 @@ def estimate_probability_modulus(ifs: DiscreteIFS, box: DomainBox, n_pairs: int,
 
     Coincident pairs are skipped rather than divided by zero.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    best = -1.0
-    witness = None
-    for x, y in _candidate_pairs(box, n_pairs, seed):
-        px = evaluate_probs(ifs, x)
-        py = evaluate_probs(ifs, y)
-        ratio = float(np.abs(px - py).sum() / np.linalg.norm(x - y))
-        if ratio > best:
-            best = ratio
-            witness = (x, y)
+    def ratio(pair):
+        x, y = pair
+        return float(np.abs(evaluate_probs(ifs, x) - evaluate_probs(ifs, y)).sum()
+                     / np.linalg.norm(x - y))
+
+    best, witness = _first_max(_candidate_pairs(box, n_pairs, seed), ratio)
     if witness is None:
         raise RuntimeError("no usable sample pairs were generated")
     return DiniEstimate(theta=max(best, 0.0), witness=witness, n_pairs=n_pairs, seed=seed)
@@ -257,20 +260,13 @@ def check_average_contraction(ifs: DiscreteIFS, box: DomainBox, n_points: int = 
     carry their own noise are frozen on a fixed substream first.  Passing
     requires the sampled supremum to stay below 1 - margin.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    check_integer("n_points", n_points, 1)
     lips = [estimate_lipschitz(_deterministic_map(ifs, i, seed), box, n_pairs,
                                derive_seed(seed, 1, i))
             for i in range(ifs.n_maps)]
     l_values = np.array([est.value for est in lips])
     xs = box.sample(make_rng(seed, 2), n_points)
-    lam_hat = -np.inf
-    witness_x = None
-    for x in xs:
-        val = float(evaluate_probs(ifs, x) @ l_values)
-        if val > lam_hat:
-            lam_hat = val
-            witness_x = x
+    lam_hat, witness_x = _first_max(xs, lambda x: float(evaluate_probs(ifs, x) @ l_values))
     passed = lam_hat < 1.0 - margin
     return ConditionReport(
         condition="average_contraction",
@@ -288,24 +284,23 @@ def check_average_contraction(ifs: DiscreteIFS, box: DomainBox, n_points: int = 
 def check_min_probability(ifs: DiscreteIFS, box: DomainBox, n_points: int = 512,
                           seed: int = 0, threshold: float = 1e-6) -> ConditionReport:
     """Estimate inf over sampled x and maps i of p_i(x)."""
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    check_integer("n_points", n_points, 1)
     xs = box.sample(make_rng(seed, 3), n_points)
-    p_min = np.inf
-    witness = None
-    for x in xs:
+
+    def least(x):  # x, the map least likely at x, and its probability
         p = evaluate_probs(ifs, x)
         i = int(np.argmin(p))
-        if p[i] < p_min:
-            p_min = float(p[i])
-            witness = (x, i)
+        return x, i, float(p[i])
+
+    # The first least probability is the first greatest negated one.
+    _, (x, i, p_min) = _first_max(map(least, xs), lambda c: -c[2])
     passed = p_min > threshold
     return ConditionReport(
         condition="min_probability",
         verdict="pass" if passed else "fail",
         basis="sampled",
         constants={"p_min": p_min, "threshold": threshold},
-        witness={"x": witness[0].tolist(), "map_index": witness[1]},
+        witness={"x": x.tolist(), "map_index": i},
         sampling={"n_points": n_points, "seed": seed},
     )
 
@@ -357,8 +352,8 @@ def check_stopping_time(density, box: DomainBox, horizon: float,
         raise TypeError("density must be callable as p(t, x)")
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
-    if n_x < 1 or n_t < 2:
-        raise ValueError("grid sizes must satisfy n_x >= 1 and n_t >= 2")
+    check_integer("n_x", n_x, 1)
+    check_integer("n_t", n_t, 2)
 
     axes = [np.linspace(box.lower[j], box.upper[j], n_x) for j in range(box.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")

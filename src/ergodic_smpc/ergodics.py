@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleMeasureError
+from .errors import IncompatibleMeasureError, check_integer
 from .rng import make_rng
 
 __all__ = [
@@ -117,8 +117,7 @@ def histogram_from_samples(samples, n_bins: int = 10, range_=None) -> EmpiricalM
     dropped.
     """
     states = _states_array(samples)
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    check_integer("n_bins", n_bins, 1)
     n = states.shape[0]
     edges = []
     props = []
@@ -222,7 +221,7 @@ def prefix_windows(start: int, checkpoints: Sequence[int]) -> list[tuple[int, in
     out = []
     last = start
     for c in checkpoints:
-        c = int(c)
+        c = check_integer("checkpoint", c)
         if c <= last:
             continue
         out.append((start, c))
@@ -261,7 +260,7 @@ class DiagnosticReport:
             slopes=np.asarray(data["slopes"], dtype=float),
             verdict=data["verdict"],
             tolerance=float(data["tolerance"]),
-            n_bins=int(data["n_bins"]),
+            n_bins=check_integer("n_bins", data["n_bins"], 1),
             burn_in_frac=float(data["burn_in_frac"]),
         )
 
@@ -279,8 +278,7 @@ def diagnostic_windows(n: int, n_windows: int,
 
     Raises ``ValueError`` unless every window is well defined and non-empty.
     """
-    if n_windows < 2:
-        raise ValueError("n_windows must be >= 2")
+    check_integer("n_windows", n_windows, 2)
     if not 0.0 <= burn_in_frac < 1.0:
         raise ValueError("burn_in_frac must be in [0, 1)")
     if n < 10 * n_windows:

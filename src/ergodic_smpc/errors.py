@@ -3,12 +3,13 @@
 import numbers
 
 
-def check_integer(name: str, value, minimum: int | None = None) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer, not a bool, >= ``minimum``."""
+def check_integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless an integer, not a bool, >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 class InvalidProbabilityError(ValueError):

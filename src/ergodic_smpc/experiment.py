@@ -303,8 +303,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> list[
     on the worker count or the output location.  ``workers < 1`` or an
     ``x0`` of the wrong length raises ``ValueError`` before any write.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_integer("workers", workers, 1)
     config.check_x0(config.generation.d)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

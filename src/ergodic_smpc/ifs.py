@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import inspect
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Any, Callable
@@ -27,6 +26,7 @@ from .errors import (
     InvalidProbabilityError,
     NumericalBlowupError,
     ParameterDomainError,
+    check_integer,
 )
 from .ergodics import EmpiricalMeasure, histogram_from_samples
 from .rng import make_rng
@@ -343,16 +343,16 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
     def label(k):
         return f"map {selections[k]}" if discrete else "map"
 
-    for start in range(0, n_steps, block):
-        stop = min(start + block, n_steps)
-        # A continuous block is one step, which draws its own parameter.
-        u = 1.0 - rng.random(stop - start) if discrete else [None]
-        if cum is not None:
-            selections.extend(np.searchsorted(cum, u, side="left").tolist())
-        # A vector block keeps feeding the maps the states past a blow-up
-        # until it ends; their numpy warnings would precede the error that
-        # screening the block raises.
-        with np.errstate(all="ignore") if cum is not None else nullcontext():
+    # Numpy's warnings would precede the error that a step's check raises,
+    # and a vector block keeps feeding its maps the states past a blow-up
+    # until the block ends.
+    with np.errstate(all="ignore"):
+        for start in range(0, n_steps, block):
+            stop = min(start + block, n_steps)
+            # A continuous block is one step, which draws its own parameter.
+            u = 1.0 - rng.random(stop - start) if discrete else [None]
+            if cum is not None:
+                selections.extend(np.searchsorted(cum, u, side="left").tolist())
             for k in range(start, stop):
                 try:
                     if cum is not None:
@@ -374,7 +374,7 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
                     if k + 1 < n_steps:
                         as_state(x)  # the next step's input check raises
                 states[k + 1] = x
-        _screen_rows(states, start, stop, divergence_bound, label)
+            _screen_rows(states, start, stop, divergence_bound, label)
     return states, selections
 
 
@@ -388,8 +388,7 @@ def simulate(ifs, x0, n_steps: int, seed: int,
     continuous IFS with ``advance`` runs through it; its trajectory keeps
     no selections.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    check_integer("n_steps", n_steps, 0)
     states, selections = _walk(ifs, as_state(x0), n_steps, make_rng(seed),
                                divergence_bound)
     return Trajectory(states=states, seed=seed, selections=selections)
@@ -407,8 +406,8 @@ def run_ensemble(ifs, initial_measure, n_steps: int, seed: int,
     with ``advance`` advances the particles in chunks whose states hold
     about ``_CHUNK_ROWS`` rows, one ``advance`` call per chunk.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    check_integer("n_steps", n_steps, 0)
+    check_integer("n_bins", n_bins, 1)
     particles = [as_state(p) for p in initial_measure]
     if not particles:
         raise ValueError("initial_measure must contain at least one particle")

@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_integer
+
 _MASK64 = (1 << 64) - 1
+
+
+def _seed_sequence(keys: tuple) -> np.random.SeedSequence:
+    """The seed sequence of ``keys``, each an integer folded to 64 bits."""
+    if not keys:
+        raise ValueError("at least one seed key is required")
+    return np.random.SeedSequence(tuple(check_integer("seed", k) & _MASK64 for k in keys))
 
 
 def make_rng(*keys: int) -> np.random.Generator:
@@ -19,15 +28,9 @@ def make_rng(*keys: int) -> np.random.Generator:
     Equal keys always produce bit-identical draw sequences; any change in
     a key yields an independent stream.  Keys are folded to 64 bits.
     """
-    if not keys:
-        raise ValueError("at least one seed key is required")
-    entropy = tuple(int(k) & _MASK64 for k in keys)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(_seed_sequence(keys))
 
 
 def derive_seed(*keys: int) -> int:
     """Collapse a key tuple into a single 64-bit subseed."""
-    if not keys:
-        raise ValueError("at least one seed key is required")
-    entropy = tuple(int(k) & _MASK64 for k in keys)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(keys).generate_state(1, np.uint64)[0])

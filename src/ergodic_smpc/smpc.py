@@ -78,11 +78,10 @@ class NoiseSpec:
     bound: float
 
     def __post_init__(self):
-        pattern = tuple((int(r), int(c)) for r, c in self.pattern)
+        pattern = tuple((check_integer("noise position", r, 0),
+                         check_integer("noise position", c, 0)) for r, c in self.pattern)
         if len(set(pattern)) != len(pattern):
             raise ValueError("noise pattern has duplicate positions")
-        if any(r < 0 or c < 0 for r, c in pattern):
-            raise ValueError("noise positions must be nonnegative")
         if not np.isfinite(self.bound) or self.bound < 0:
             raise ValueError("noise bound must be finite and >= 0")
         object.__setattr__(self, "pattern", pattern)
@@ -330,8 +329,7 @@ class DiscreteControlProblem:
             u.setflags(write=False)
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
-        if self.saa_samples < 1:
-            raise ValueError("saa_samples must be >= 1")
+        check_integer("saa_samples", self.saa_samples, 1)
         object.__setattr__(self, "controls", controls)
 
     @property
@@ -355,7 +353,7 @@ def _orthonormal_basis(d: int, *keys: int) -> np.ndarray:
 
 def generate_problem(spec: GenerationSpec, seed: int | None = None) -> MPCProblem:
     """Draw an instance per the generation recipe, deterministically in seed."""
-    s = spec.seed if seed is None else int(seed)
+    s = spec.seed if seed is None else seed
     d, m = spec.d, spec.m
     v_a = _orthonormal_basis(d, s, 0)
     v_q = _orthonormal_basis(d, s, 1)
@@ -400,8 +398,6 @@ def _saa_path(problem: MPCProblem, xs, n_steps: int, j_samples: int,
     Once every particle holds a non-finite state the run stops; the rows
     after that block are NaN.
     """
-    if j_samples < 1:
-        raise ValueError("j_samples must be >= 1")
     d, k = problem.d, problem.noise.n_entries
     n_parts = len(rngs)
     xs = np.asarray(xs, dtype=float)
@@ -466,8 +462,7 @@ def saa_control_from_draws(problem: MPCProblem, x, saa_entries) -> np.ndarray:
 
 def saa_control(problem: MPCProblem, x, j_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw J noise samples and solve the sample-average problem."""
-    if j_samples < 1:
-        raise ValueError("j_samples must be >= 1")
+    check_integer("j_samples", j_samples, 1)
     draws = problem.noise.sample_entries(rng, j_samples)
     return saa_control_from_draws(problem, x, draws)
 
@@ -522,8 +517,7 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
     Its ``advance`` runs stacks of whole paths through ``_saa_path``,
     which gives the same states as stepping.
     """
-    if j_samples < 1:
-        raise ValueError("j_samples must be >= 1")
+    check_integer("j_samples", j_samples, 1)
 
     def sampler(x, rng):
         return problem.noise.sample_entries(rng, j_samples + 1)
@@ -617,6 +611,8 @@ def discrete_smpc_as_ifs(dcp: DiscreteControlProblem, saa_seed: int = 0) -> Disc
     the state; the plant noise in each map stays stochastic and draws
     from the step generator.
     """
+    check_integer("saa_seed", saa_seed)
+
     def probs(x):
         return mixed_strategy(dcp, x, make_rng(saa_seed))
 

@@ -430,6 +430,12 @@ def test_run_experiment_rejects_zero_workers(tmp_path):
     ["generate", "--spec", "fractional_counts_spec.json"],
     ["reproduce-paper", "--config", "fractional_counts_config.json"],
     ["reproduce-paper", "--config", "bool_count_config.json"],
+    # Fractional or bool noise positions in a problem file or a generation spec.
+    ["check", "fractional_position_problem.json"],
+    ["check", "bool_position_problem.json"],
+    ["run", "fractional_position_problem.json"],
+    ["run", "bool_position_problem.json"],
+    ["generate", "--spec", "fractional_position_spec.json"],
 ])
 def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                        argv):
@@ -467,6 +473,13 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ca
     Path("bool_count_config.json").write_text(json.dumps(
         {**small, "generation": {**ExperimentConfig().generation.to_dict(), "m": True,
                                  "lam_r": [1.0]}}))
+    problem = json.loads(Path("problem.json").read_text())
+    for name, position in (("fractional", [0, 1.5]), ("bool", [True, 2])):
+        problem["noise"]["pattern"] = [position]
+        Path(f"{name}_position_problem.json").write_text(json.dumps(problem))
+    Path("fractional_position_spec.json").write_text(json.dumps(
+        {**ExperimentConfig().generation.to_dict(),
+         "noise": {"pattern": [[0, 1.9]], "bound": 0.005}}))
     argv = list(argv)
     while "=" in argv[0]:  # leading NAME=value entries set the environment
         name, value = argv.pop(0).split("=", 1)
@@ -475,7 +488,7 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ca
         main(argv + ["--out", "out"])
     assert exc.value.code == 2
     assert not Path("out").exists()
-    if "count" in argv[-1]:
+    if "count" in argv[-1] or "position" in argv[-1]:
         assert f"{argv[-1]}: ValueError: " in capsys.readouterr().err
 
 

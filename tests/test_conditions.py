@@ -82,6 +82,16 @@ def test_lipschitz_requires_nondegenerate_box():
         estimate_lipschitz(lambda x: x, DomainBox.cube(0.5, 0.5, 1), 10, seed=0)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda box: estimate_lipschitz(lambda x: x, box, 10, seed=0),
+    lambda box: estimate_probability_modulus(constant_prob_ifs([0.5, 0.5]), box, 10, seed=0),
+], ids=["lipschitz", "modulus"])
+def test_pair_estimates_reject_a_degenerate_box(estimate):
+    with pytest.raises(ValueError,
+                       match="^box must be nondegenerate in at least one coordinate$"):
+        estimate(DomainBox.cube(0.5, 0.5, 2))
+
+
 # ---------------------------------------------------------------------------
 # average contraction
 # ---------------------------------------------------------------------------

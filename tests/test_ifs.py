@@ -623,6 +623,18 @@ def test_vector_block_past_a_blow_up_emits_no_numpy_warning():
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("system", [
+    ContinuousIFS(map=lambda t, x: x * 1e200, sampler=lambda x, rng: 0.0),
+    DiscreteIFS(maps=(lambda x: x * 1e200,), probs=lambda x: np.array([1.0])),
+    DiscreteIFS(maps=(lambda x, rng: x * 1e200,), probs=np.array([1.0])),
+], ids=["continuous", "callable", "rng-aware"])
+def test_overflow_in_any_walk_raises_the_walk_error(system):
+    # pytest makes numpy's overflow warning an error, which would come first.
+    with pytest.raises(NumericalBlowupError,
+                       match=r"^step 0: map( 0)? produced non-finite output at \[1\.e\+200\]$"):
+        simulate(system, [1e200], 5, seed=0)
+
+
 @pytest.mark.parametrize("p", [[0.4, 0.4], [-0.2, 1.2], [np.nan, 1.0], [0.5, 0.5, 0.0],
                                [np.inf, 0.0]])
 def test_bad_probability_vector_rejected_when_built(p):
