@@ -77,9 +77,8 @@ class DomainBox:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))
 
-    def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        size = self.dim if n is None else (n, self.dim)
-        return rng.uniform(self.lower, self.upper, size=size)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
@@ -166,34 +165,6 @@ def _eval_finite(f: Callable, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _candidate_pairs(box: DomainBox, n_pairs: int, seed: int):
-    """Yield (x, y) pairs: one long-range and one short-range per index.
-
-    Pair i is a pure function of (seed, i), so the pair set for a smaller
-    n_pairs is a prefix of the set for a larger one -- estimates built on
-    them are monotone in n_pairs.
-    """
-    check_integer("n_pairs", n_pairs, 1)
-    if box.diameter == 0.0:
-        raise ValueError("box must be nondegenerate in at least one coordinate")
-    eps = _PERTURBATION_SCALE * box.diameter
-    for i in range(n_pairs):
-        rng = make_rng(seed, i)
-        x = box.sample(rng)
-        y = box.sample(rng)
-        if np.any(x != y):
-            yield x, y
-        for _ in range(8):
-            direction = rng.normal(size=box.dim)
-            norm = np.linalg.norm(direction)
-            if norm == 0.0:
-                continue
-            y2 = box.clip(x + (eps / norm) * direction)
-            if np.any(y2 != x):
-                yield x, y2
-                break
-
-
 def _first_max(candidates, score: Callable) -> tuple[float, object]:
     """The highest score and the first candidate reaching it; (-inf, None) if none."""
     best, witness = -np.inf, None
@@ -204,6 +175,38 @@ def _first_max(candidates, score: Callable) -> tuple[float, object]:
     return best, witness
 
 
+def _steepest_pair(value: Callable, gap: Callable, box: DomainBox, n_pairs: int,
+                   seed: int) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Largest sampled gap(value(x) - value(y)) / ||x - y||, at least 0, and its first witness.
+
+    Row i holds x and y uniform on the box and y2, x moved 1e-4 box
+    diameters along a normal direction and clipped to the box.  Endpoints
+    and directions come from streams (seed, 0) and (seed, 1), drawn row by
+    row, so a smaller n_pairs takes a prefix of the rows and estimates are
+    monotone in n_pairs.  ``value`` is called once per point, in the order
+    x, y, y2; coincident pairs are skipped.
+    """
+    check_integer("n_pairs", n_pairs, 1)
+    if box.diameter == 0.0:
+        raise ValueError("box must be nondegenerate in at least one coordinate")
+    ends = box.sample(make_rng(seed, 0), 2 * n_pairs).reshape(n_pairs, 2, box.dim)
+    directions = make_rng(seed, 1).normal(size=(n_pairs, box.dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    near = box.clip(ends[:, 0] + _PERTURBATION_SCALE * box.diameter * directions)
+
+    def scored():  # ((x, other), ratio) for each usable pair, in row order
+        for (x, y), y2 in zip(ends, near):
+            vx = value(x)
+            for other, v in [(y, value(y)), (y2, value(y2))]:
+                if np.any(other != x):
+                    yield (x, other), float(gap(vx - v) / np.linalg.norm(x - other))
+
+    best, witness = _first_max(scored(), lambda c: c[1])
+    if witness is None:
+        raise RuntimeError("no usable sample pairs were generated")
+    return max(best, 0.0), witness[0]
+
+
 def estimate_lipschitz(f: Callable, box: DomainBox, n_pairs: int, seed: int) -> LipschitzEstimate:
     """Sampled lower bound max ||f(x) - f(y)|| / ||x - y|| over the box.
 
@@ -211,16 +214,9 @@ def estimate_lipschitz(f: Callable, box: DomainBox, n_pairs: int, seed: int) -> 
     1e-4 times the box diameter, which picks up local slope maxima that
     far-apart pairs average away.
     """
-    def ratio(pair):
-        x, y = pair
-        return float(np.linalg.norm(_eval_finite(f, x) - _eval_finite(f, y))
-                     / np.linalg.norm(x - y))
-
-    best, witness = _first_max(_candidate_pairs(box, n_pairs, seed), ratio)
-    if witness is None:
-        raise RuntimeError("no usable sample pairs were generated")
-    return LipschitzEstimate(value=max(best, 0.0), witness=witness,
-                             n_pairs=n_pairs, seed=seed)
+    best, witness = _steepest_pair(lambda x: _eval_finite(f, x), np.linalg.norm, box,
+                                   n_pairs, seed)
+    return LipschitzEstimate(value=best, witness=witness, n_pairs=n_pairs, seed=seed)
 
 
 def estimate_probability_modulus(ifs: DiscreteIFS, box: DomainBox, n_pairs: int,
@@ -229,15 +225,9 @@ def estimate_probability_modulus(ifs: DiscreteIFS, box: DomainBox, n_pairs: int,
 
     Coincident pairs are skipped rather than divided by zero.
     """
-    def ratio(pair):
-        x, y = pair
-        return float(np.abs(evaluate_probs(ifs, x) - evaluate_probs(ifs, y)).sum()
-                     / np.linalg.norm(x - y))
-
-    best, witness = _first_max(_candidate_pairs(box, n_pairs, seed), ratio)
-    if witness is None:
-        raise RuntimeError("no usable sample pairs were generated")
-    return DiniEstimate(theta=max(best, 0.0), witness=witness, n_pairs=n_pairs, seed=seed)
+    best, witness = _steepest_pair(lambda x: evaluate_probs(ifs, x),
+                                   lambda v: np.abs(v).sum(), box, n_pairs, seed)
+    return DiniEstimate(theta=best, witness=witness, n_pairs=n_pairs, seed=seed)
 
 
 def _deterministic_map(ifs: DiscreteIFS, index: int, seed: int) -> Callable:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,6 +32,7 @@ __all__ = [
     "ks_distance_to_cdf",
     "wasserstein1_1d",
     "prefix_windows",
+    "check_tolerance",
     "diagnostic_windows",
     "stationarity_diagnostic",
     "write_histogram_csv",
@@ -199,6 +202,7 @@ def wasserstein1_1d(samples1, samples2, seed: int = 0) -> float:
     Unequal counts are handled by uniformly subsampling the larger set
     without replacement using the diagnostic seed.
     """
+    check_integer("seed", seed)
     s1 = np.asarray(samples1, dtype=float).ravel()
     s2 = np.asarray(samples2, dtype=float).ravel()
     if len(s1) == 0 or len(s2) == 0:
@@ -272,6 +276,14 @@ class DiagnosticReport:
         return cls.from_dict(json.loads(text))
 
 
+def check_tolerance(tolerance) -> float:
+    """``tolerance`` as a float; ``ValueError`` unless a finite real number > 0, not a bool."""
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
+            or not (math.isfinite(tolerance) and tolerance > 0)):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
+    return float(tolerance)
+
+
 def diagnostic_windows(n: int, n_windows: int,
                        burn_in_frac: float) -> list[tuple[int, int]]:
     """The diagnostic's cumulative windows over ``n`` states, after burn-in.
@@ -302,6 +314,7 @@ def stationarity_diagnostic(traj, n_windows: int = 4, n_bins: int = 10,
     distance is within ``tolerance`` and the TV sequence has non-positive
     least-squares slope.
     """
+    tolerance = check_tolerance(tolerance)
     states = _states_array(traj)
     windows = diagnostic_windows(states.shape[0], n_windows, burn_in_frac)
     measures = windowed_measures(states, windows, n_bins=n_bins)
@@ -319,7 +332,7 @@ def stationarity_diagnostic(traj, n_windows: int = 4, n_bins: int = 10,
         distances=distances,
         slopes=slopes,
         verdict="stabilizing" if ok else "not-stabilizing",
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         n_bins=int(n_bins),
         burn_in_frac=float(burn_in_frac),
     )

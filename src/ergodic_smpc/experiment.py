@@ -16,8 +16,6 @@ config whole rather than its fields one by one.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -36,6 +34,7 @@ from .conditions import (
 from .ergodics import (
     DiagnosticReport,
     build_histogram,
+    check_tolerance,
     diagnostic_windows,
     stationarity_diagnostic,
     write_histogram_csv,
@@ -96,10 +95,7 @@ class ExperimentConfig:
             check_integer(name, getattr(self, name), 1)
         check_integer("n_windows", self.n_windows)
         check_integer("seed", self.seed)
-        tol = self.tolerance
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not (math.isfinite(tol) and tol > 0)):
-            raise ValueError(f"tolerance must be a finite number > 0, got {tol!r}")
+        check_tolerance(self.tolerance)
         diagnostic_windows(self.n_iterations + 1, self.n_windows, self.burn_in_frac)
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))

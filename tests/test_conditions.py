@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ergodic_smpc import conditions
 from ergodic_smpc import (
     ConditionReport,
     DiscreteIFS,
@@ -17,6 +18,7 @@ from ergodic_smpc import (
     estimate_lipschitz,
     estimate_probability_modulus,
     generate_problem,
+    make_rng,
 )
 from ergodic_smpc.experiment import check_problem
 from ergodic_smpc.ifs import ContinuousIFS
@@ -63,6 +65,33 @@ def test_lipschitz_monotone_in_nested_pairs():
     values = [estimate_lipschitz(lambda x: np.sin(3 * x), UNIT, n, seed=5).value
               for n in (10, 50, 250, 1000)]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("n_pairs", [10, 1000])
+def test_lipschitz_draws_from_two_streams(monkeypatch, n_pairs):
+    keys = []
+
+    def counted(*key):
+        keys.append(key)
+        return make_rng(*key)
+
+    monkeypatch.setattr(conditions, "make_rng", counted)
+    estimate_lipschitz(lambda x: 2 * x, UNIT, n_pairs, seed=3)
+    assert keys == [(3, 0), (3, 1)]
+
+
+def test_lipschitz_evaluates_each_point_once():
+    points = []
+
+    def f(x):
+        points.append(x.copy())
+        return x ** 2
+
+    estimate_lipschitz(f, UNIT, 50, seed=3)
+    assert len(points) == 150
+    # Row i evaluates x, its uniform partner, then its close neighbour.
+    xs, near = np.array(points[0::3]), np.array(points[2::3])
+    assert np.all(np.abs(xs - near) <= 1e-4 * (1 + 1e-12))
 
 
 def test_lipschitz_deterministic():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,13 @@ def test_diagnostic_bernoulli_stabilizes(bernoulli_ifs):
 def test_diagnostic_requires_length():
     with pytest.raises(ValueError):
         stationarity_diagnostic(np.arange(30.0), n_windows=4)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), float("inf"), True, "x"])
+def test_diagnostic_rejects_a_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"tolerance must be a finite number > 0, got {tolerance!r}") + "$"):
+        stationarity_diagnostic(np.arange(400.0), tolerance=tolerance)
 
 
 def test_diagnostic_zero_burn_in(bernoulli_ifs):

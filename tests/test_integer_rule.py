@@ -30,6 +30,7 @@ from ergodic_smpc import (
     simulate,
     smpc_closed_loop_ifs,
     stationarity_diagnostic,
+    wasserstein1_1d,
 )
 from ergodic_smpc.ergodics import prefix_windows
 
@@ -73,6 +74,7 @@ CASES = {
                                        lambda v: stationarity_diagnostic(TRAJ, n_bins=v)),
     "DiagnosticReport.from_dict": ("n_bins", 1,
                                    lambda v: DiagnosticReport.from_dict({**REPORT, "n_bins": v})),
+    "wasserstein1_1d": ("seed", None, lambda v: wasserstein1_1d([0.0, 1.0], [0.5, 2.0], seed=v)),
     "prefix_windows": ("checkpoint", None, lambda v: prefix_windows(0, [v])),
     "DomainBox.cube": ("d", 1, lambda v: DomainBox.cube(0.0, 1.0, v)),
     "estimate_lipschitz": ("n_pairs", 1,
