@@ -78,7 +78,6 @@ from .smpc import (
     plant_step,
     project_simplex,
     projected_gradient,
-    saa_control,
     saa_control_from_draws,
     saa_costs,
     smpc_closed_loop_ifs,

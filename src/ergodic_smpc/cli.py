@@ -6,7 +6,8 @@ multi-trial experiment), ifs-demo (reference IFS runs with known
 invariant measures).  The seed resolves as flag > config file > the
 ERGODIC_SMPC_SEED environment variable > 0.  Every other run parameter
 resolves as flag > config file > the ``ExperimentConfig`` field named by the
-flag's ``dest``.  A bad value or input file exits 2 before any work starts.
+flag's ``dest``.  A bad value or input file exits 2 before any work starts;
+a run that diverges exits 1 with one ``<subcommand> aborted: ...`` line.
 """
 
 from __future__ import annotations
@@ -128,11 +129,7 @@ def cmd_check(args, parser: argparse.ArgumentParser) -> int:
 def cmd_run(args, parser: argparse.ArgumentParser) -> int:
     problem = _read(args.problem, MPCProblem.from_dict, parser)
     config = _build_config(args, parser, problem.d)
-    try:
-        report = simulate_and_report(problem, args.out, config, config.seed)
-    except NumericalBlowupError as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return 1
+    report = simulate_and_report(problem, args.out, config, config.seed)
     print(f"diagnostic verdict: {report.verdict}")
     print(f"wrote artifacts under {args.out}")
     return 0
@@ -227,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "reference four-state instance)")
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", default="problem.json")
-    p_gen.set_defaults(command=cmd_generate)
+    p_gen.set_defaults(handler=cmd_generate)
 
     p_check = sub.add_parser("check", help="check contraction conditions")
     p_check.add_argument("problem")
@@ -235,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--points", dest="check_points", type=int)
     p_check.add_argument("--pairs", dest="check_pairs", type=int)
     p_check.add_argument("--out", default="conditions.json")
-    p_check.set_defaults(command=cmd_check)
+    p_check.set_defaults(handler=cmd_check)
 
     def add_diagnostic_flags(p):
         p.add_argument("--iters", dest="n_iterations", type=int)
@@ -253,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("problem")
     add_run_flags(p_run)
     p_run.add_argument("--out", default="run_out")
-    p_run.set_defaults(command=cmd_run)
+    p_run.set_defaults(handler=cmd_run)
 
     p_rep = sub.add_parser("reproduce-paper",
                            help="run the full multi-trial reference experiment")
@@ -263,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--smoke", action="store_true",
                        help="CI scale: 1 trial, 1000 iterations, 20 SAA samples")
     p_rep.add_argument("--out", default="experiment_out")
-    p_rep.set_defaults(command=cmd_reproduce_paper)
+    p_rep.set_defaults(handler=cmd_reproduce_paper)
 
     p_demo = sub.add_parser("ifs-demo", help="simulate a reference IFS")
     p_demo.add_argument("name", help=f"one of: {', '.join(sorted(DEMOS))}, "
                                      "or a path to an affine IFS JSON file")
     add_diagnostic_flags(p_demo)
     p_demo.add_argument("--out", default="demo_out")
-    p_demo.set_defaults(command=cmd_ifs_demo, n_iterations=100_000)
+    p_demo.set_defaults(handler=cmd_ifs_demo, n_iterations=100_000)
 
     return parser
 
@@ -278,7 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.command(args, parser)
+    try:
+        return args.handler(args, parser)
+    except NumericalBlowupError as exc:
+        print(f"{args.command} aborted: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidDensityError, check_integer
+from .errors import EvaluationError, InvalidDensityError, check_integer, check_real
 from .ifs import ContinuousIFS, DiscreteIFS, evaluate_probs
 from .rng import derive_seed, make_rng
 from .smpc import MPCProblem
@@ -251,6 +251,7 @@ def check_average_contraction(ifs: DiscreteIFS, box: DomainBox, n_points: int = 
     requires the sampled supremum to stay below 1 - margin.
     """
     check_integer("n_points", n_points, 1)
+    check_real("margin", margin)
     lips = [estimate_lipschitz(_deterministic_map(ifs, i, seed), box, n_pairs,
                                derive_seed(seed, 1, i))
             for i in range(ifs.n_maps)]
@@ -275,6 +276,7 @@ def check_min_probability(ifs: DiscreteIFS, box: DomainBox, n_points: int = 512,
                           seed: int = 0, threshold: float = 1e-6) -> ConditionReport:
     """Estimate inf over sampled x and maps i of p_i(x)."""
     check_integer("n_points", n_points, 1)
+    check_real("threshold", threshold)
     xs = box.sample(make_rng(seed, 3), n_points)
 
     def least(x):  # x, the map least likely at x, and its probability
@@ -340,8 +342,7 @@ def check_stopping_time(density, box: DomainBox, horizon: float,
         density = density.density
     if not callable(density):
         raise TypeError("density must be callable as p(t, x)")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    check_real("horizon", horizon, above=0)
     check_integer("n_x", n_x, 1)
     check_integer("n_t", n_t, 2)
 

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleMeasureError, check_integer
+from .errors import IncompatibleMeasureError, check_integer, check_real
 from .rng import make_rng
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "ks_distance_to_cdf",
     "wasserstein1_1d",
     "prefix_windows",
-    "check_tolerance",
     "diagnostic_windows",
     "stationarity_diagnostic",
     "write_histogram_csv",
@@ -103,10 +100,8 @@ def _resolve_ranges(states: np.ndarray, range_) -> list[tuple[float, float]]:
         raise ValueError(f"expected {d} (lo, hi) ranges, got {len(range_)}")
     out = []
     for lo, hi in range_:
-        lo, hi = float(lo), float(hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-            raise ValueError(f"invalid histogram range ({lo}, {hi})")
-        out.append((lo, hi))
+        lo = check_real("histogram range lo", lo)
+        out.append((lo, check_real("histogram range hi", hi, at_least=lo)))
     return out
 
 
@@ -263,9 +258,9 @@ class DiagnosticReport:
             distances=np.asarray(data["distances"], dtype=float),
             slopes=np.asarray(data["slopes"], dtype=float),
             verdict=data["verdict"],
-            tolerance=float(data["tolerance"]),
+            tolerance=check_real("tolerance", data["tolerance"], above=0),
             n_bins=check_integer("n_bins", data["n_bins"], 1),
-            burn_in_frac=float(data["burn_in_frac"]),
+            burn_in_frac=check_real("burn_in_frac", data["burn_in_frac"], at_least=0, below=1),
         )
 
     def to_json(self, indent: int = 2) -> str:
@@ -276,14 +271,6 @@ class DiagnosticReport:
         return cls.from_dict(json.loads(text))
 
 
-def check_tolerance(tolerance) -> float:
-    """``tolerance`` as a float; ``ValueError`` unless a finite real number > 0, not a bool."""
-    if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
-            or not (math.isfinite(tolerance) and tolerance > 0)):
-        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
-    return float(tolerance)
-
-
 def diagnostic_windows(n: int, n_windows: int,
                        burn_in_frac: float) -> list[tuple[int, int]]:
     """The diagnostic's cumulative windows over ``n`` states, after burn-in.
@@ -291,8 +278,7 @@ def diagnostic_windows(n: int, n_windows: int,
     Raises ``ValueError`` unless every window is well defined and non-empty.
     """
     check_integer("n_windows", n_windows, 2)
-    if not 0.0 <= burn_in_frac < 1.0:
-        raise ValueError("burn_in_frac must be in [0, 1)")
+    burn_in_frac = check_real("burn_in_frac", burn_in_frac, at_least=0, below=1)
     if n < 10 * n_windows:
         raise ValueError(f"trajectory of length {n} too short for {n_windows} windows")
     burn = int(n * burn_in_frac)
@@ -314,7 +300,7 @@ def stationarity_diagnostic(traj, n_windows: int = 4, n_bins: int = 10,
     distance is within ``tolerance`` and the TV sequence has non-positive
     least-squares slope.
     """
-    tolerance = check_tolerance(tolerance)
+    tolerance = check_real("tolerance", tolerance, above=0)
     states = _states_array(traj)
     windows = diagnostic_windows(states.shape[0], n_windows, burn_in_frac)
     measures = windowed_measures(states, windows, n_bins=n_bins)

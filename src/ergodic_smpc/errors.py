@@ -1,5 +1,6 @@
-"""Exception types and the integer-argument rule shared across the package."""
+"""Exception types and the integer and real-number argument rules shared across the package."""
 
+import math
 import numbers
 
 
@@ -10,6 +11,25 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return int(value)
+
+
+def check_real(name: str, value, above=None, at_least=None, below=None,
+               finite: bool = True) -> float:
+    """``value`` as a ``float``; ``ValueError`` unless a real number, not a bool or NaN.
+
+    It must be finite unless ``finite`` is false, and > ``above``, >=
+    ``at_least`` and < ``below`` for each bound given.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value)
+            or (finite and math.isinf(value))
+            or (above is not None and not value > above)
+            or (at_least is not None and not value >= at_least)
+            or (below is not None and not value < below)):
+        rule = " and ".join(f"{op} {bound}" for op, bound in
+                            ((">", above), (">=", at_least), ("<", below)) if bound is not None)
+        kind = "finite number" if finite else "number"
+        raise ValueError(f"{name} must be a {kind} {rule}".rstrip() + f", got {value!r}")
+    return float(value)
 
 
 class InvalidProbabilityError(ValueError):

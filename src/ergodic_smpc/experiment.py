@@ -34,12 +34,11 @@ from .conditions import (
 from .ergodics import (
     DiagnosticReport,
     build_histogram,
-    check_tolerance,
     diagnostic_windows,
     stationarity_diagnostic,
     write_histogram_csv,
 )
-from .errors import check_integer
+from .errors import check_integer, check_real
 from .ifs import simulate, write_trajectory_csv
 from .rng import derive_seed
 from .smpc import (
@@ -95,10 +94,10 @@ class ExperimentConfig:
             check_integer(name, getattr(self, name), 1)
         check_integer("n_windows", self.n_windows)
         check_integer("seed", self.seed)
-        check_tolerance(self.tolerance)
+        check_real("tolerance", self.tolerance, above=0)
         diagnostic_windows(self.n_iterations + 1, self.n_windows, self.burn_in_frac)
         if self.x0 is not None:
-            object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+            object.__setattr__(self, "x0", tuple(check_real("x0 entry", v) for v in self.x0))
 
     def check_x0(self, d: int) -> None:
         """Raise ``ValueError`` unless ``x0`` is unset or has ``d`` entries."""

@@ -27,6 +27,7 @@ from .errors import (
     NumericalBlowupError,
     ParameterDomainError,
     check_integer,
+    check_real,
 )
 from .ergodics import EmpiricalMeasure, histogram_from_samples
 from .rng import make_rng
@@ -169,6 +170,7 @@ class ContinuousIFS:
         if self.density is None or self.param_range is None:
             raise ValueError("validate_density requires density and param_range")
         x = as_state(x)
+        check_real("tol", tol, above=0)
         total, _ = quad(lambda t: self.density(t, x), *self.param_range, limit=200)
         if abs(total - 1.0) > tol:
             raise InvalidProbabilityError(
@@ -389,6 +391,7 @@ def simulate(ifs, x0, n_steps: int, seed: int,
     no selections.
     """
     check_integer("n_steps", n_steps, 0)
+    check_real("divergence_bound", divergence_bound, above=0, finite=False)
     states, selections = _walk(ifs, as_state(x0), n_steps, make_rng(seed),
                                divergence_bound)
     return Trajectory(states=states, seed=seed, selections=selections)
@@ -408,6 +411,7 @@ def run_ensemble(ifs, initial_measure, n_steps: int, seed: int,
     """
     check_integer("n_steps", n_steps, 0)
     check_integer("n_bins", n_bins, 1)
+    check_real("divergence_bound", divergence_bound, above=0, finite=False)
     particles = [as_state(p) for p in initial_measure]
     if not particles:
         raise ValueError("initial_measure must contain at least one particle")

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import cholesky as cho_factor
 
-from .errors import NumericalBlowupError, SingularNormalMatrixError, check_integer
+from .errors import NumericalBlowupError, SingularNormalMatrixError, check_integer, check_real
 from .ifs import ContinuousIFS, DiscreteIFS, as_state
 from .rng import make_rng
 
@@ -43,7 +43,6 @@ __all__ = [
     "DiscreteControlProblem",
     "generate_problem",
     "exact_control",
-    "saa_control",
     "saa_control_from_draws",
     "plant_step",
     "expected_cost",
@@ -82,10 +81,8 @@ class NoiseSpec:
                          check_integer("noise position", c, 0)) for r, c in self.pattern)
         if len(set(pattern)) != len(pattern):
             raise ValueError("noise pattern has duplicate positions")
-        if not np.isfinite(self.bound) or self.bound < 0:
-            raise ValueError("noise bound must be finite and >= 0")
         object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "bound", float(self.bound))
+        object.__setattr__(self, "bound", check_real("noise bound", self.bound, at_least=0))
 
     @property
     def n_entries(self) -> int:
@@ -268,17 +265,15 @@ class GenerationSpec:
         check_integer("d", self.d, 1)
         check_integer("m", self.m, 1)
         check_integer("seed", self.seed)
-        object.__setattr__(self, "lam_a", tuple(float(v) for v in self.lam_a))
-        object.__setattr__(self, "lam_q", tuple(float(v) for v in self.lam_q))
-        object.__setattr__(self, "lam_r", tuple(float(v) for v in self.lam_r))
+        object.__setattr__(self, "lam_a", tuple(check_real("lam_a entry", v) for v in self.lam_a))
+        object.__setattr__(self, "lam_q", tuple(check_real("lam_q entry", v, at_least=0)
+                                                for v in self.lam_q))
+        object.__setattr__(self, "lam_r", tuple(check_real("lam_r entry", v, above=0)
+                                                for v in self.lam_r))
         if len(self.lam_a) != self.d or len(self.lam_q) != self.d:
             raise ValueError("lam_a and lam_q must have d entries")
         if len(self.lam_r) != self.m:
             raise ValueError("lam_r must have m entries")
-        if any(v < 0 for v in self.lam_q):
-            raise ValueError("lam_q entries must be >= 0")
-        if any(v <= 0 for v in self.lam_r):
-            raise ValueError("lam_r entries must be > 0")
         self.noise.check_dims(self.d)
 
     @classmethod
@@ -327,8 +322,7 @@ class DiscreteControlProblem:
             if u.shape != (self.base.m,):
                 raise ValueError(f"controls must be vectors of length {self.base.m}")
             u.setflags(write=False)
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        check_real("alpha", self.alpha, above=0)
         check_integer("saa_samples", self.saa_samples, 1)
         object.__setattr__(self, "controls", controls)
 
@@ -460,13 +454,6 @@ def saa_control_from_draws(problem: MPCProblem, x, saa_entries) -> np.ndarray:
     return _saa_control(problem, x, entries)
 
 
-def saa_control(problem: MPCProblem, x, j_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw J noise samples and solve the sample-average problem."""
-    check_integer("j_samples", j_samples, 1)
-    draws = problem.noise.sample_entries(rng, j_samples)
-    return saa_control_from_draws(problem, x, draws)
-
-
 def _apply_plant(problem: MPCProblem, x: np.ndarray, u: np.ndarray,
                  entries: np.ndarray) -> np.ndarray:
     xi = problem.noise.as_matrix(entries, problem.d)
@@ -512,8 +499,9 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
     The parameter of one step bundles all of its randomness in one
     (J + 1, k) block of noise draws: the first J rows feed the
     sample-average controller and the last row is the plant draw.
-    Stepping the adapter is draw-for-draw identical to calling
-    ``saa_control`` followed by ``plant_step`` with the same generator.
+    Stepping the adapter is draw-for-draw identical to drawing J entries
+    for ``saa_control_from_draws`` and then calling ``plant_step`` with
+    the same generator.
     Its ``advance`` runs stacks of whole paths through ``_saa_path``,
     which gives the same states as stepping.
     """
@@ -574,8 +562,7 @@ def project_simplex(v) -> np.ndarray:
 def mixed_strategy_from_costs(costs, alpha: float) -> np.ndarray:
     """Minimizer over the simplex of c.p + alpha ||p||^2."""
     costs = np.atleast_1d(np.asarray(costs, dtype=float))
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
+    check_real("alpha", alpha, above=0)
     return project_simplex(-costs / (2.0 * alpha))
 
 

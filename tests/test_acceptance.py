@@ -22,7 +22,7 @@ from ergodic_smpc import (
     mixed_strategy_from_costs,
     plant_step,
     project_simplex,
-    saa_control,
+    saa_control_from_draws,
     saa_costs,
     simulate,
     smpc_closed_loop_ifs,
@@ -143,7 +143,8 @@ def test_criterion_3_controller_correctness():
     points = []
     for j in (10, 100, 1000, 10_000):
         for rep in range(50):
-            u = saa_control(scalar, [2.0], j, make_rng(909, j, rep))
+            draws = scalar.noise.sample_entries(make_rng(909, j, rep), j)
+            u = saa_control_from_draws(scalar, [2.0], draws)
             points.append((np.log(j), np.log(float(np.linalg.norm(u - u_exact)))))
     points = np.asarray(points)
     slope = float(np.polyfit(points[:, 0], points[:, 1], 1)[0])

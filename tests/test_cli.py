@@ -190,6 +190,20 @@ def test_run_blowup_aborts_with_nonzero_exit(tmp_path, capsys):
     assert "run aborted" in capsys.readouterr().err
 
 
+def test_ifs_demo_blowup_aborts_with_one_line(tmp_path, capsys):
+    ifs_file = tmp_path / "div.json"
+    ifs_file.write_text(json.dumps({"maps": [{"matrix": [[3.0]], "offset": [1.0]}],
+                                    "probs": [1.0]}))
+    code = main(["ifs-demo", str(ifs_file), "--iters", "200", "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "ifs-demo aborted: step 25: state norm 1.270933e+12 exceeded divergence bound "
+        "1.000000e+12"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # reproduce-paper
 # ---------------------------------------------------------------------------
@@ -436,6 +450,11 @@ def test_run_experiment_rejects_zero_workers(tmp_path):
     ["run", "fractional_position_problem.json"],
     ["run", "bool_position_problem.json"],
     ["generate", "--spec", "fractional_position_spec.json"],
+    # A non-finite spectrum entry in a generation spec, or x0 entry in a config file.
+    ["generate", "--spec", "nonfinite_lam_q_spec.json"],
+    ["generate", "--spec", "nonfinite_lam_a_spec.json"],
+    ["reproduce-paper", "--config", "nonfinite_x0_config.json"],
+    ["run", "problem.json", "--config", "nonfinite_x0_config.json"],
 ])
 def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                        argv):
@@ -480,6 +499,12 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ca
     Path("fractional_position_spec.json").write_text(json.dumps(
         {**ExperimentConfig().generation.to_dict(),
          "noise": {"pattern": [[0, 1.9]], "bound": 0.005}}))
+    default_spec = ExperimentConfig().generation.to_dict()
+    for key, value in (("lam_q", float("nan")), ("lam_a", float("inf"))):
+        Path(f"nonfinite_{key}_spec.json").write_text(json.dumps(
+            {**default_spec, key: [value] + default_spec[key][1:]}))
+    Path("nonfinite_x0_config.json").write_text(json.dumps(
+        {**small, "x0": [0.0, float("nan"), 0.0, 0.0]}))
     argv = list(argv)
     while "=" in argv[0]:  # leading NAME=value entries set the environment
         name, value = argv.pop(0).split("=", 1)
@@ -488,7 +513,7 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ca
         main(argv + ["--out", "out"])
     assert exc.value.code == 2
     assert not Path("out").exists()
-    if "count" in argv[-1] or "position" in argv[-1]:
+    if any(word in argv[-1] for word in ("count", "position", "nonfinite")):
         assert f"{argv[-1]}: ValueError: " in capsys.readouterr().err
 
 

@@ -26,7 +26,6 @@ from ergodic_smpc import (
     make_rng,
     run_ensemble,
     run_experiment,
-    saa_control,
     simulate,
     smpc_closed_loop_ifs,
     stationarity_diagnostic,
@@ -58,7 +57,6 @@ CASES = {
     "generate_problem": ("seed", None,
                          lambda v: generate_problem(GenerationSpec.default(), seed=v)),
     "smpc_closed_loop_ifs": ("j_samples", 1, lambda v: smpc_closed_loop_ifs(PROBLEM, v)),
-    "saa_control": ("j_samples", 1, lambda v: saa_control(PROBLEM, [0.0], v, make_rng(0))),
     "DiscreteControlProblem": (
         "saa_samples", 1, lambda v: DiscreteControlProblem(PROBLEM, controls=([0.0],),
                                                            alpha=1.0, saa_samples=v)),

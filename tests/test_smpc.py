@@ -22,7 +22,6 @@ from ergodic_smpc import (
     project_simplex,
     projected_gradient,
     run_ensemble,
-    saa_control,
     saa_control_from_draws,
     simulate,
     smpc_closed_loop_ifs,
@@ -165,7 +164,7 @@ def test_saa_control_zero_noise_collapses():
     problem = MPCProblem(a=[[0.5]], b=[[1.0]], q=[[1.0]], r=[[1.0]], z=[0.0],
                          noise=NoiseSpec(pattern=((0, 0),), bound=0.0))
     for j in (1, 10, 100):
-        u = saa_control(problem, [2.0], j, make_rng(0))
+        u = saa_control_from_draws(problem, [2.0], problem.noise.sample_entries(make_rng(0), j))
         assert u[0] == exact_control(problem, [2.0])[0]
 
 
@@ -177,8 +176,9 @@ def test_saa_control_from_crafted_draws(scalar_problem):
 
 
 def test_saa_control_deterministic(scalar_problem):
-    a = saa_control(scalar_problem, [2.0], 50, make_rng(12))
-    b = saa_control(scalar_problem, [2.0], 50, make_rng(12))
+    noise = scalar_problem.noise
+    a = saa_control_from_draws(scalar_problem, [2.0], noise.sample_entries(make_rng(12), 50))
+    b = saa_control_from_draws(scalar_problem, [2.0], noise.sample_entries(make_rng(12), 50))
     assert np.array_equal(a, b)
 
 
@@ -186,8 +186,9 @@ def test_saa_error_shrinks_with_samples(scalar_problem):
     u_exact = exact_control(scalar_problem, [2.0])
     errs = []
     for j in (10, 10_000):
-        reps = [np.linalg.norm(saa_control(scalar_problem, [2.0], j, make_rng(3, j, r))
-                               - u_exact) for r in range(20)]
+        draws = [scalar_problem.noise.sample_entries(make_rng(3, j, r), j) for r in range(20)]
+        reps = [np.linalg.norm(saa_control_from_draws(scalar_problem, [2.0], d) - u_exact)
+                for d in draws]
         errs.append(np.mean(reps))
     assert errs[1] < errs[0] / 10
 
@@ -233,7 +234,8 @@ def test_closed_loop_adapter_matches_manual_loop(four_state_problem):
     rng = make_rng(42)
     x = np.zeros(4)
     for k in range(3):
-        u = saa_control(four_state_problem, x, 20, rng)
+        u = saa_control_from_draws(four_state_problem, x,
+                                   four_state_problem.noise.sample_entries(rng, 20))
         x = plant_step(four_state_problem, x, u, rng)
         assert np.array_equal(traj.states[k + 1], x)
 
