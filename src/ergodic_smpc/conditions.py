@@ -67,7 +67,8 @@ class DomainBox:
     @classmethod
     def cube(cls, lo: float, hi: float, d: int) -> "DomainBox":
         d = check_integer("d", d, 1)
-        return cls(np.full(d, float(lo)), np.full(d, float(hi)))
+        lo = check_real("cube lo", lo)
+        return cls(np.full(d, lo), np.full(d, check_real("cube hi", hi, at_least=lo)))
 
     @property
     def dim(self) -> int:

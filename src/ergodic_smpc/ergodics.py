@@ -2,6 +2,8 @@
 
 Histograms use per-dimension equal-width bins over a shared range so that
 measures taken from different stretches of a run are directly comparable.
+Every histogram, window and running proportion is read off one running
+count per dimension (``_running_counts``), so they all bin alike.
 Stabilization is quantified by total-variation distances between the
 running (cumulative) empirical distribution evaluated at equally spaced
 checkpoints, plus sample-based KS and 1-D Wasserstein distances.
@@ -92,17 +94,33 @@ class EmpiricalMeasure:
 def _resolve_ranges(states: np.ndarray, range_) -> list[tuple[float, float]]:
     d = states.shape[1]
     if range_ is None:
-        return [(float(states[:, j].min()), float(states[:, j].max())) for j in range(d)]
-    range_ = list(range_)
-    if len(range_) == 2 and np.isscalar(range_[0]):
-        range_ = [tuple(range_)] * d
-    if len(range_) != d:
-        raise ValueError(f"expected {d} (lo, hi) ranges, got {len(range_)}")
+        range_ = [(float(states[:, j].min()), float(states[:, j].max())) for j in range(d)]
+    else:
+        range_ = list(range_)
+        if len(range_) == 2 and np.isscalar(range_[0]):
+            range_ = [tuple(range_)] * d
+        if len(range_) != d:
+            raise ValueError(f"expected {d} (lo, hi) ranges, got {len(range_)}")
+        if np.isnan(states).any():
+            raise ValueError("samples must not be NaN")
     out = []
     for lo, hi in range_:
         lo = check_real("histogram range lo", lo)
         out.append((lo, check_real("histogram range hi", hi, at_least=lo)))
     return out
+
+
+def _running_counts(values: np.ndarray, edges: np.ndarray, ends) -> np.ndarray:
+    """Per-bin counts of ``values[:e]`` for each non-decreasing end ``e``.
+
+    Returns a (len(ends), n_bins) integer array.  This is the one place
+    values are binned, by the rule ``histogram_from_samples`` states.
+    """
+    n_bins = len(edges) - 1
+    index = np.searchsorted(edges[1:-1], values[:ends[-1]], side="right")
+    segment = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return np.bincount(segment * n_bins + index, minlength=len(ends) * n_bins
+                       ).reshape(len(ends), n_bins).cumsum(axis=0)
 
 
 def histogram_from_samples(samples, n_bins: int = 10, range_=None) -> EmpiricalMeasure:
@@ -115,21 +133,7 @@ def histogram_from_samples(samples, n_bins: int = 10, range_=None) -> EmpiricalM
     dropped.
     """
     states = _states_array(samples)
-    check_integer("n_bins", n_bins, 1)
-    n = states.shape[0]
-    edges = []
-    props = []
-    for j, (lo, hi) in enumerate(_resolve_ranges(states, range_)):
-        if hi == lo:
-            e = np.array([lo - _DEGENERATE_HALF_WIDTH, lo + _DEGENERATE_HALF_WIDTH])
-            p = np.array([1.0])
-        else:
-            vals = np.clip(states[:, j], lo, hi)
-            counts, e = np.histogram(vals, bins=n_bins, range=(lo, hi))
-            p = counts / n
-        edges.append(e)
-        props.append(p)
-    return EmpiricalMeasure(tuple(edges), tuple(props), count=n)
+    return windowed_measures(states, [(0, states.shape[0])], n_bins, range_)[0]
 
 
 def build_histogram(traj, n_bins: int = 10, range_=None) -> EmpiricalMeasure:
@@ -142,15 +146,24 @@ def windowed_measures(traj, windows: Sequence[tuple[int, int]], n_bins: int = 10
     """Histogram each (start, end) index window on shared bin edges.
 
     The shared range defaults to the min/max of the full trajectory so the
-    per-window measures are comparable bin by bin.
+    per-window measures are comparable bin by bin.  Each dimension is
+    binned once; a window's counts are the difference of two running
+    counts.
     """
     states = _states_array(traj)
+    check_integer("n_bins", n_bins, 1)
     n = states.shape[0]
-    shared = _resolve_ranges(states, range_)
     for start, end in windows:
         if not (0 <= start < end <= n):
             raise ValueError(f"empty or out-of-range window ({start}, {end})")
-    return [histogram_from_samples(states[start:end], n_bins=n_bins, range_=shared)
+    edges = tuple(np.linspace(lo, hi, n_bins + 1) if hi > lo
+                  else np.array([lo - _DEGENERATE_HALF_WIDTH, lo + _DEGENERATE_HALF_WIDTH])
+                  for lo, hi in _resolve_ranges(states, range_))
+    cuts = sorted({0}.union(*windows))
+    at = {c: i for i, c in enumerate(cuts)}
+    counts = [_running_counts(states[:, j], e, cuts) for j, e in enumerate(edges)]
+    return [EmpiricalMeasure(edges, tuple((c[at[end]] - c[at[start]]) / (end - start)
+                                          for c in counts), count=end - start)
             for start, end in windows]
 
 

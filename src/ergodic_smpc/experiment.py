@@ -33,6 +33,7 @@ from .conditions import (
 )
 from .ergodics import (
     DiagnosticReport,
+    _running_counts,
     build_histogram,
     diagnostic_windows,
     stationarity_diagnostic,
@@ -163,14 +164,6 @@ def atomic_write_with(writer: Callable, path) -> None:
         raise
 
 
-def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # Same convention as np.histogram: interior edges belong to the right
-    # bin, the maximum to the last bin.
-    clipped = np.clip(values, edges[0], edges[-1])
-    return np.clip(np.searchsorted(edges[1:-1], clipped, side="right"),
-                   0, len(edges) - 2)
-
-
 def _write_figure_csv(path, states_j: np.ndarray, edges: np.ndarray) -> None:
     """Cumulative per-bin proportions of one state at checkpoint iterations."""
     n = states_j.shape[0]
@@ -179,16 +172,10 @@ def _write_figure_csv(path, states_j: np.ndarray, edges: np.ndarray) -> None:
     checkpoints = list(range(stride, n + 1, stride))
     if checkpoints[-1] != n:
         checkpoints.append(n)
-    idx = _bin_indices(states_j, edges)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    rows = []
-    prev = 0
-    for k in checkpoints:
-        counts += np.bincount(idx[prev:k], minlength=n_bins)
-        prev = k
-        rows.append([str(k)] + [format(c / k, ".17g") for c in counts])
+    props = _running_counts(states_j, edges, checkpoints) / np.array(checkpoints)[:, None]
+    row = ",".join(["%d"] + ["%.17g"] * n_bins)
     lines = [",".join(["k"] + [f"bin_{b}" for b in range(n_bins)])]
-    lines += [",".join(r) for r in rows]
+    lines += [row % (k, *p) for k, p in zip(checkpoints, props.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -289,8 +289,8 @@ def _screen_rows(states: np.ndarray, first: int, stop: int, divergence_bound: fl
     labelled with ``label(k)``.
     """
     paths = states.reshape(states.shape[0], -1, states.shape[-1])
-    peak = np.abs(paths[first + 1:stop + 1]).max(axis=2) * (2 * paths.shape[2])
-    flagged = ~((peak <= divergence_bound) & (peak < np.inf))
+    peak = np.abs(paths[first + 1:stop + 1]).max(axis=2)
+    flagged = ~((peak <= divergence_bound / (2 * paths.shape[2])) & (peak < np.inf))
     # Row-major over (particle, step): lowest particle first, then its steps.
     for p, j in np.argwhere(flagged.T):
         k = first + int(j)

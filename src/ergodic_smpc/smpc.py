@@ -321,6 +321,8 @@ class DiscreteControlProblem:
         for u in controls:
             if u.shape != (self.base.m,):
                 raise ValueError(f"controls must be vectors of length {self.base.m}")
+            if not np.all(np.isfinite(u)):
+                raise ValueError(f"controls must be finite, got {u.tolist()}")
             u.setflags(write=False)
         check_real("alpha", self.alpha, above=0)
         check_integer("saa_samples", self.saa_samples, 1)
@@ -621,8 +623,10 @@ def projected_gradient(grad: Callable[[np.ndarray], np.ndarray], x0,
     their normal equations in closed form instead; this hook exists for
     supplying other convex objectives via a gradient oracle.
     """
+    step = check_real("step", step, above=0)
+    tol = check_real("tol", tol, above=0)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    for _ in range(max_iter):
+    for _ in range(check_integer("max_iter", max_iter, 1)):
         x_new = x - step * np.asarray(grad(x), dtype=float)
         if project is not None:
             x_new = project(x_new)

@@ -190,6 +190,24 @@ def test_run_blowup_aborts_with_nonzero_exit(tmp_path, capsys):
     assert "run aborted" in capsys.readouterr().err
 
 
+def test_run_far_past_the_divergence_bound_aborts_with_one_line(tmp_path, capsys):
+    # At noise bound 3.0 the SAA kernel runs on past the bound until its
+    # states overflow; screening them must not overflow in turn.
+    spec = ExperimentConfig().generation.to_dict()
+    spec["noise"]["bound"] = 3.0
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    problem_path = tmp_path / "problem.json"
+    assert main(["generate", "--spec", str(spec_path), "--seed", "3",
+                 "--out", str(problem_path)]) == 0
+    capsys.readouterr()
+    code = main(["run", str(problem_path), "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "run aborted: step 131: state norm 1.627598e+12 exceeded divergence bound "
+        "1.000000e+12"]
+
+
 def test_ifs_demo_blowup_aborts_with_one_line(tmp_path, capsys):
     ifs_file = tmp_path / "div.json"
     ifs_file.write_text(json.dumps({"maps": [{"matrix": [[3.0]], "offset": [1.0]}],

@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 
 from ergodic_smpc import (
+    DiscreteIFS,
     EmpiricalMeasure,
     IncompatibleMeasureError,
     build_histogram,
@@ -20,7 +21,9 @@ from ergodic_smpc import (
     windowed_measures,
     write_histogram_csv,
 )
+from ergodic_smpc import ergodics
 from ergodic_smpc.ergodics import DiagnosticReport, prefix_windows
+from ergodic_smpc.experiment import ExperimentConfig, emit_run_artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +110,114 @@ def test_windowed_bernoulli_halves_agree(bernoulli_ifs):
 def test_windowed_rejects_empty_window():
     with pytest.raises(ValueError):
         windowed_measures(np.arange(10.0), [(3, 3)], n_bins=2)
+
+
+# ---------------------------------------------------------------------------
+# the binning rule, against np.histogram as the oracle
+# ---------------------------------------------------------------------------
+
+def _numpy_histogram(values, n_bins, lo, hi):
+    """Edges and proportions of np.histogram, values clipped onto [lo, hi]."""
+    counts, edges = np.histogram(np.clip(values, lo, hi), bins=n_bins, range=(lo, hi))
+    return edges, counts / len(values)
+
+
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 7, 10])
+def test_binning_matches_numpy_on_edges_and_outside_a_range(n_bins):
+    lo, hi = -0.3, 1.1
+    edges = np.linspace(lo, hi, n_bins + 1)
+    inside = np.random.default_rng(n_bins).uniform(lo - 1.0, hi + 1.0, size=300)
+    values = np.concatenate([edges, edges, [hi, hi, lo - 5.0, hi + 5.0, -np.inf, np.inf],
+                             inside])
+    m = histogram_from_samples(values, n_bins=n_bins, range_=[(lo, hi)])
+    expected_edges, expected = _numpy_histogram(values, n_bins, lo, hi)
+    assert np.array_equal(m.edges[0], expected_edges)
+    assert np.array_equal(m.proportions[0], expected)
+
+
+@pytest.mark.parametrize("n_bins", [1, 4, 10])
+def test_binning_matches_numpy_on_the_automatic_range(n_bins):
+    rng = np.random.default_rng(20 + n_bins)
+    col0 = np.concatenate([np.linspace(-2.0, 3.0, n_bins + 1), rng.uniform(-2.0, 3.0, 200)])
+    data = np.column_stack([col0, np.full(col0.size, 0.7), rng.normal(size=col0.size)])
+    m = histogram_from_samples(data, n_bins=n_bins)
+    for j in (0, 2):
+        counts, edges = np.histogram(data[:, j], bins=n_bins)
+        assert np.array_equal(m.edges[j], edges)
+        assert np.array_equal(m.proportions[j], counts / col0.size)
+    # zero spread: one bin, 2e-12 wide, holding everything
+    assert np.array_equal(m.edges[1], [0.7 - 1e-12, 0.7 + 1e-12])
+    assert np.array_equal(m.proportions[1], [1.0])
+
+
+@pytest.mark.parametrize("range_", [None, [(-0.5, 0.5), (0.0, 0.25)]])
+def test_windowed_measures_match_numpy_per_window(range_):
+    data = np.random.default_rng(30).normal(size=(500, 2))
+    data[:, 1] = np.round(data[:, 1], 1)  # many values on or near edges
+    shared = range_ or [(data[:, j].min(), data[:, j].max()) for j in range(2)]
+    # overlapping, out of order, repeated and single-state windows
+    windows = [(100, 400), (0, 250), (250, 500), (10, 11), (0, 500), (100, 400), (499, 500)]
+    measures = windowed_measures(data, windows, n_bins=6, range_=range_)
+    for (start, end), m in zip(windows, measures):
+        assert m.count == end - start
+        for j, (lo, hi) in enumerate(shared):
+            edges, expected = _numpy_histogram(data[start:end, j], 6, lo, hi)
+            assert np.array_equal(m.edges[j], edges)
+            assert np.array_equal(m.proportions[j], expected)
+
+
+def test_figure_rows_are_prefix_histograms_on_the_histogram_edges(tmp_path):
+    # state 0 wanders on [0, 1]; state 1 never moves (one degenerate bin)
+    system = DiscreteIFS(maps=(lambda x: np.array([x[0] / 2, x[1]]),
+                               lambda x: np.array([(x[0] + 1) / 2, x[1]])),
+                         probs=np.array([0.5, 0.5]))
+    traj = simulate(system, [0.3, 0.7], 1234, seed=8)
+    config = ExperimentConfig(n_iterations=1234, n_bins=7)
+    emit_run_artifacts(traj, tmp_path, config)
+    measure = read_histogram_csv(tmp_path / "histogram.csv")
+    n = traj.states.shape[0]
+    for j in range(2):
+        lines = (tmp_path / f"figure_state{j}.csv").read_text().splitlines()
+        n_bins = len(measure.edges[j]) - 1
+        assert lines[0] == ",".join(["k"] + [f"bin_{b}" for b in range(n_bins)])
+        ks = [int(line.split(",")[0]) for line in lines[1:]]
+        assert ks == list(range(6, n - 4, 6)) + [n]
+        for line, k in zip(lines[1:], ks):
+            counts, _ = np.histogram(traj.states[:k, j], bins=measure.edges[j])
+            assert [float(v) for v in line.split(",")[1:]] == list(counts / k)
+        assert [float(v) for v in lines[-1].split(",")[1:]] == list(measure.proportions[j])
+
+
+def test_stationarity_diagnostic_bins_each_coordinate_once(monkeypatch):
+    calls = []
+    running_counts = ergodics._running_counts
+
+    def counted(values, edges, ends):
+        calls.append(len(values))
+        return running_counts(values, edges, ends)
+
+    monkeypatch.setattr(ergodics, "_running_counts", counted)
+    data = np.random.default_rng(31).normal(size=(1000, 3))
+    report = stationarity_diagnostic(data, n_windows=5)
+    assert len(report.windows) == 5
+    assert calls == [1000] * 3
+
+
+@pytest.mark.parametrize("bad, text", [
+    (np.nan, "histogram range lo must be a finite number, got nan"),
+    (np.inf, "histogram range hi must be a finite number >= 0.0, got inf"),
+    (-np.inf, "histogram range lo must be a finite number, got -inf"),
+])
+def test_histogram_rejects_non_finite_samples(bad, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        histogram_from_samples([0.0, bad, 1.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        stationarity_diagnostic(np.append(np.arange(400.0), bad))
+
+
+def test_histogram_with_a_range_rejects_nan_samples():
+    with pytest.raises(ValueError, match="^samples must not be NaN$"):
+        histogram_from_samples([0.0, np.nan, 1.0], range_=[(0.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------

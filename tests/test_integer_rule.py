@@ -24,6 +24,7 @@ from ergodic_smpc import (
     generate_problem,
     histogram_from_samples,
     make_rng,
+    projected_gradient,
     run_ensemble,
     run_experiment,
     simulate,
@@ -89,6 +90,8 @@ CASES = {
                                 lambda v: check_stopping_time(lambda t, x: 1.0, UNIT, 1.0, n_x=v)),
     "check_stopping_time-n_t": ("n_t", 2,
                                 lambda v: check_stopping_time(lambda t, x: 1.0, UNIT, 1.0, n_t=v)),
+    "projected_gradient": ("max_iter", 1, lambda v: projected_gradient(
+        lambda x: 2 * x, [1.0], step=0.25, max_iter=v)),
     "run_experiment": ("workers", 1, lambda v: run_experiment(
         ExperimentConfig(n_trials=1, n_iterations=100, saa_samples=2), "exp", workers=v)),
 }

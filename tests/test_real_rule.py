@@ -21,6 +21,7 @@ from ergodic_smpc import (
     check_stopping_time,
     histogram_from_samples,
     mixed_strategy_from_costs,
+    projected_gradient,
     run_ensemble,
     simulate,
     stationarity_diagnostic,
@@ -94,6 +95,15 @@ CASES = {
                                                               threshold=v)),
     "validate_density": ("tol", "a finite number > 0", [0.0],
                          lambda v: UNIFORM.validate_density([0.0], tol=v)),
+    "projected_gradient-step": ("step", "a finite number > 0", [0.0],
+                                lambda v: projected_gradient(lambda x: 2 * x, [1.0], step=v)),
+    "projected_gradient-tol": ("tol", "a finite number > 0", [0.0],
+                               lambda v: projected_gradient(lambda x: 2 * x, [1.0], step=0.25,
+                                                            tol=v)),
+    "DomainBox.cube-lo": ("cube lo", "a finite number", [],
+                          lambda v: DomainBox.cube(v, 2.0, 1)),
+    "DomainBox.cube-hi": ("cube hi", "a finite number >= 0.25", [math.nextafter(0.25, 0.0)],
+                          lambda v: DomainBox.cube(0.25, v, 1)),
 }
 
 

@@ -551,6 +551,13 @@ def test_mixed_strategy_common_random_numbers(scalar_problem):
     assert (costs[0] < costs[1]) == (exact[0] < exact[1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_discrete_control_problem_rejects_non_finite_controls(scalar_problem, bad):
+    with pytest.raises(ValueError, match=r"^controls must be finite, got \[-?(nan|inf)\]$"):
+        DiscreteControlProblem(base=scalar_problem, controls=(np.array([0.2]), [bad]),
+                               alpha=1.0)
+
+
 # ---------------------------------------------------------------------------
 # discrete IFS adapter
 # ---------------------------------------------------------------------------
