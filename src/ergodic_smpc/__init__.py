@@ -15,7 +15,9 @@ from .conditions import (
     check_average_contraction,
     check_linear_sufficient_condition,
     check_min_probability,
+    check_saa_contraction,
     check_stopping_time,
+    check_vertex_contraction,
     estimate_lipschitz,
     estimate_probability_modulus,
 )

@@ -4,9 +4,10 @@ A state-dependent IFS whose maps contract on average, whose selection
 probabilities stay bounded away from zero, and whose probability map has
 a finite Lipschitz-type modulus admits a unique stationary distribution
 that attracts every initial one.  This module estimates those constants
-from samples and evaluates the analytic contraction bound available for
-the linear-quadratic closed loop, emitting reports that carry the
-evidence (estimated constants, worst witnesses, sampling parameters).
+from samples for a generic IFS and evaluates the exact contraction
+constants of the linear-quadratic closed loop at the noise-box
+vertices, emitting reports that carry the evidence (constants, worst
+witnesses, sampling parameters).
 
 Sampled maxima are lower bounds on the true constants, so a sampled
 "pass" is evidence rather than a certificate; reports distinguish
@@ -36,11 +37,16 @@ __all__ = [
     "check_average_contraction",
     "check_min_probability",
     "check_linear_sufficient_condition",
+    "check_vertex_contraction",
+    "check_saa_contraction",
     "check_stopping_time",
 ]
 
 # Scale of the short-range perturbation pairs relative to the box diameter.
 _PERTURBATION_SCALE = 1e-4
+# Most noise entries k whose 4^k vertex pairs ``check_saa_contraction``
+# enumerates (2^20 pairs).
+_MAX_SAA_ENTRIES = 10
 
 
 @dataclass(frozen=True)
@@ -323,6 +329,63 @@ def check_linear_sufficient_condition(problem: MPCProblem) -> ConditionReport:
                    "feedback_norm": feedback_norm},
         witness={"noise_entries": problem.noise.extreme_entries()[worst].tolist()},
         sampling={"extreme_points": len(norms)},
+    )
+
+
+def check_vertex_contraction(problem: MPCProblem) -> ConditionReport:
+    """Exact average contraction of the exact-control loop at the noise-box vertices.
+
+    That loop applies x -> V_v x + B K (z - A x), V_v = A + Xi_v, with
+    uniform weights over the 2^k vertices, so its average-contraction
+    constant is exactly mean_v ||V_v - B K A||, one batched spectral norm
+    (SVD) of ``problem.vertices``.  ``check_average_contraction`` of
+    ``extreme_noise_closed_loop_ifs`` estimates the same constant from
+    below by sampling.
+    """
+    norms = np.linalg.norm(problem.vertices - problem.b @ problem.gain @ problem.a, 2,
+                           axis=(1, 2))
+    lam = float(norms.mean())
+    worst = int(np.argmax(norms))
+    return ConditionReport(
+        condition="average_contraction",
+        verdict="pass" if lam < 1.0 else "fail",
+        basis="certified",
+        constants={"lambda_hat": lam, "map_lipschitz": norms.tolist()},
+        witness={"noise_entries": problem.noise.extreme_entries()[worst].tolist()},
+        sampling={"extreme_points": len(norms)},
+    )
+
+
+def check_saa_contraction(problem: MPCProblem) -> ConditionReport:
+    """Worst one-step gain of the simulated SAA loop over every noise outcome.
+
+    The SAA step is x -> M x + B K z with M = V_p - B K V_q: V_p = A + Xi_p
+    carries the plant draw and V_q = A + Xi_bar the mean of the J
+    controller draws, which lies in the noise box too.  ||M|| is jointly
+    convex in (Xi_p, Xi_bar), so its maximum over the box is attained at
+    a pair of vertices, and enumerating the pairs makes the verdict
+    certified.  With more than 10 noise entries (2k > 20) the report is
+    inconclusive and nothing is enumerated.
+    """
+    k = problem.noise.n_entries
+    if k > _MAX_SAA_ENTRIES:
+        return ConditionReport(condition="saa_contraction", verdict="inconclusive",
+                               basis="certified", constants={"bound": None}, witness=None,
+                               sampling={"vertex_pairs": 4 ** k})
+    entries, vertices = problem.noise.extreme_entries(), problem.vertices
+    fed_back = problem.b @ problem.gain @ vertices
+    # Row p holds ||V_p - B K V_q|| for every q.
+    norms = np.stack([np.linalg.norm(v - fed_back, 2, axis=(1, 2)) for v in vertices])
+    plant, mean = np.unravel_index(int(np.argmax(norms)), norms.shape)
+    bound = float(norms[plant, mean])
+    return ConditionReport(
+        condition="saa_contraction",
+        verdict="pass" if bound < 1.0 else "fail",
+        basis="certified",
+        constants={"bound": bound},
+        witness={"plant_entries": entries[plant].tolist(),
+                 "mean_entries": entries[mean].tolist()},
+        sampling={"vertex_pairs": len(entries) ** 2},
     )
 
 

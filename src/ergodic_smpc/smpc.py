@@ -526,8 +526,9 @@ def extreme_noise_closed_loop_ifs(problem: MPCProblem) -> DiscreteIFS:
     """Exact-control closed loop frozen at the noise-box vertices.
 
     One deterministic affine map per extreme perturbation, selected
-    uniformly.  This is the finite system whose average contraction is
-    checked numerically against the analytic bound.
+    uniformly.  ``conditions.check_vertex_contraction`` gives its
+    average-contraction constant exactly; the tests check the sampled
+    ``check_average_contraction`` of this system against that value.
     """
     k_gain, vertices = problem.gain, problem.vertices
 

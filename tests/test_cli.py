@@ -87,15 +87,15 @@ def test_check_default_instance_passes(tmp_path, capsys):
     problem_path = tmp_path / "problem.json"
     main(["generate", "--seed", "2", "--out", str(problem_path)])
     report_path = tmp_path / "conditions.json"
-    assert main(["check", str(problem_path), "--seed", "0",
-                 "--out", str(report_path)]) == 0
+    assert main(["check", str(problem_path), "--out", str(report_path)]) == 0
     printed = capsys.readouterr().out
-    assert "pass(certified)" in printed and "pass(sampled)" in printed
+    assert printed.count("pass(certified)") == 3 and "sampled" not in printed
     data = json.loads(report_path.read_text())
     analytic = ConditionReport.from_dict(data["linear_sufficient"])
-    sampled = ConditionReport.from_dict(data["average_contraction"])
-    assert analytic.passed and sampled.passed
-    assert sampled.constants["lambda_hat"] <= analytic.constants["bound"]
+    average = ConditionReport.from_dict(data["average_contraction"])
+    saa = ConditionReport.from_dict(data["saa_contraction"])
+    assert analytic.passed and average.passed and saa.passed
+    assert average.constants["lambda_hat"] <= analytic.constants["bound"]
 
 
 def test_check_expanding_instance_fails(tmp_path, capsys):
@@ -110,11 +110,32 @@ def test_check_expanding_instance_fails(tmp_path, capsys):
     main(["generate", "--spec", str(spec_path), "--seed", "0",
           "--out", str(problem_path)])
     report_path = tmp_path / "cond.json"
-    assert main(["check", str(problem_path), "--seed", "0",
-                 "--out", str(report_path)]) == 0
+    assert main(["check", str(problem_path), "--out", str(report_path)]) == 0
     data = json.loads(report_path.read_text())
     assert data["linear_sufficient"]["verdict"] == "fail"
     assert data["linear_sufficient"]["constants"]["bound"] >= 2.0
+
+
+def test_trial_path_draws_nothing_and_evaluates_no_map(tmp_path, monkeypatch, capsys):
+    from ergodic_smpc import conditions, experiment
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled contraction search on the trial path")
+
+    rng_calls = []
+    make_rng = conditions.make_rng
+    monkeypatch.setattr(experiment, "check_average_contraction", forbidden)
+    monkeypatch.setattr(conditions, "estimate_lipschitz", forbidden)
+    monkeypatch.setattr(conditions, "make_rng",
+                        lambda *keys: rng_calls.append(keys) or make_rng(*keys))
+    config = dataclasses.replace(ExperimentConfig().smoke(), n_iterations=200)
+    result = experiment.run_trial(config, 0, tmp_path / "exp")
+    assert result.ok, result.error
+    problem_path = tmp_path / "exp" / "trial_000" / "problem.json"
+    assert main(["check", str(problem_path), "--out", str(tmp_path / "c.json")]) == 0
+    capsys.readouterr()
+    experiment.check_problem(MPCProblem.from_json(problem_path.read_text()))
+    assert rng_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +318,7 @@ def test_env_seed_applies_when_file_has_no_seed(tmp_path, monkeypatch):
     # leaves the environment variable in force, for every subcommand.
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"n_trials": 1, "n_iterations": 50,
-                                       "saa_samples": 2, "check_points": 4,
-                                       "check_pairs": 4}))
+                                       "saa_samples": 2}))
     spec = ExperimentConfig().generation.to_dict()
     del spec["seed"]
     spec_path = tmp_path / "spec.json"
@@ -399,13 +419,13 @@ def test_ifs_demo_custom_file(tmp_path):
 
 @pytest.mark.parametrize("fields", [{"n_windows": 1}, {"burn_in_frac": 1.0},
                                     {"burn_in_frac": -0.1}, {"n_bins": 0},
-                                    {"check_points": 0}, {"n_iterations": 30},
+                                    {"saa_samples": 0}, {"n_iterations": 30},
                                     {"n_iterations": 100, "burn_in_frac": 0.99},
                                     {"tolerance": -1}, {"tolerance": 0}, {"tolerance": "x"},
                                     {"tolerance": float("nan")}, {"tolerance": float("inf")},
                                     {"tolerance": True}, {"n_trials": 2.5},
                                     {"n_iterations": 1000.0}, {"n_bins": True},
-                                    {"n_windows": "4"}, {"check_pairs": None},
+                                    {"n_windows": "4"}, {"n_trials": None},
                                     {"seed": 1.5}, {"seed": True}])
 def test_config_rejects_invalid_fields(fields):
     with pytest.raises(ValueError):
@@ -430,7 +450,7 @@ def test_run_experiment_rejects_zero_workers(tmp_path):
     ["reproduce-paper", "--smoke", "--workers", "0"],
     ["reproduce-paper", "--smoke", "--config", "bad_config.json"],
     ["run", "problem.json", "--iters", "100", "--config", "bad_config.json"],
-    ["check", "problem.json", "--points", "0"],
+    ["check", "missing.json"],
     ["reproduce-paper", "--config", "typo_config.json"],
     ["reproduce-paper", "--config", "missing.json"],
     ["reproduce-paper", "--config", "truncated.json"],
@@ -451,7 +471,7 @@ def test_run_experiment_rejects_zero_workers(tmp_path):
     ["run", "problem.json", "--config", "bool_seed_config.json"],
     ["generate", "--spec", "fractional_seed_spec.json"],
     ["ERGODIC_SMPC_SEED=abc", "generate"],
-    ["ERGODIC_SMPC_SEED=abc", "check", "problem.json"],
+    ["ERGODIC_SMPC_SEED=abc", "run", "problem.json"],
     ["ERGODIC_SMPC_SEED=1.5", "run", "problem.json", "--iters", "100"],
     ["ERGODIC_SMPC_SEED=abc", "reproduce-paper", "--smoke"],
     ["ERGODIC_SMPC_SEED=abc", "ifs-demo", "bernoulli"],
@@ -473,6 +493,11 @@ def test_run_experiment_rejects_zero_workers(tmp_path):
     ["generate", "--spec", "nonfinite_lam_a_spec.json"],
     ["reproduce-paper", "--config", "nonfinite_x0_config.json"],
     ["run", "problem.json", "--config", "nonfinite_x0_config.json"],
+    # Options and config keys of the sampled contraction check, which is gone.
+    ["check", "problem.json", "--points", "8"],
+    ["check", "problem.json", "--pairs", "8"],
+    ["check", "problem.json", "--seed", "0"],
+    ["reproduce-paper", "--config", "removed_key_config.json"],
 ])
 def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                        argv):
@@ -523,6 +548,7 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ca
             {**default_spec, key: [value] + default_spec[key][1:]}))
     Path("nonfinite_x0_config.json").write_text(json.dumps(
         {**small, "x0": [0.0, float("nan"), 0.0, 0.0]}))
+    Path("removed_key_config.json").write_text(json.dumps({**small, "check_points": 128}))
     argv = list(argv)
     while "=" in argv[0]:  # leading NAME=value entries set the environment
         name, value = argv.pop(0).split("=", 1)
@@ -531,8 +557,13 @@ def test_invalid_run_parameters_exit_2_before_any_work(tmp_path, monkeypatch, ca
         main(argv + ["--out", "out"])
     assert exc.value.code == 2
     assert not Path("out").exists()
+    err = capsys.readouterr().err
     if any(word in argv[-1] for word in ("count", "position", "nonfinite")):
-        assert f"{argv[-1]}: ValueError: " in capsys.readouterr().err
+        assert f"{argv[-1]}: ValueError: " in err
+    if argv[-1] == "removed_key_config.json":
+        assert "unexpected keyword argument 'check_points'" in err
+    if argv[0] == "check" and len(argv) > 2:
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
 
 
 def test_bad_seed_exit_names_its_source(tmp_path, monkeypatch, capsys):
@@ -562,12 +593,12 @@ def test_single_file_outputs_create_their_parent_directory(tmp_path, capsys):
     problem = tmp_path / "new" / "problem.json"
     assert main(["generate", "--seed", "4", "--out", str(problem)]) == 0
     conditions = tmp_path / "nodir" / "deeper" / "c.json"
-    assert main(["check", str(problem), "--points", "8", "--pairs", "8",
-                 "--out", str(conditions)]) == 0
+    assert main(["check", str(problem), "--out", str(conditions)]) == 0
     capsys.readouterr()
     assert MPCProblem.from_json(problem.read_text()).d == 4
-    assert set(json.loads(conditions.read_text())) == {"linear_sufficient",
-                                                       "average_contraction"}
+    assert list(json.loads(conditions.read_text())) == ["linear_sufficient",
+                                                        "average_contraction",
+                                                        "saa_contraction"]
 
 
 def test_every_run_flag_dest_is_a_config_field():

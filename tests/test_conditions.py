@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,12 @@ from ergodic_smpc import (
     check_average_contraction,
     check_linear_sufficient_condition,
     check_min_probability,
+    check_saa_contraction,
     check_stopping_time,
+    check_vertex_contraction,
     estimate_lipschitz,
     estimate_probability_modulus,
+    extreme_noise_closed_loop_ifs,
     generate_problem,
     make_rng,
 )
@@ -25,6 +30,12 @@ from ergodic_smpc.ifs import ContinuousIFS
 from ergodic_smpc.smpc import GenerationSpec
 
 UNIT = DomainBox.cube(0.0, 1.0, 1)
+# A 3-state instance with three noise entries, and a scalar one.
+THREE_ENTRIES = GenerationSpec(
+    lam_a=(0.3, 0.2, 0.1), lam_q=(1.0, 2.0, 3.0), lam_r=(1.0, 0.5), d=3, m=2,
+    noise=NoiseSpec(pattern=((0, 1), (1, 2), (2, 0)), bound=0.05))
+SCALAR = MPCProblem(a=[[0.2]], b=[[1.0]], q=[[1.0]], r=[[1.0]], z=[0.0],
+                    noise=NoiseSpec(pattern=((0, 0),), bound=0.005))
 
 
 def constant_prob_ifs(p):
@@ -228,9 +239,7 @@ def test_modulus_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_linear_condition_scalar_bound():
-    problem = MPCProblem(a=[[0.2]], b=[[1.0]], q=[[1.0]], r=[[1.0]], z=[0.0],
-                         noise=NoiseSpec(pattern=((0, 0),), bound=0.005))
-    report = check_linear_sufficient_condition(problem)
+    report = check_linear_sufficient_condition(SCALAR)
     # worst |A + xi| = 0.205 plus feedback norm |B (R+B'QB)^-1 B'Q A| = 0.1
     assert report.constants["bound"] == pytest.approx(0.305, abs=1e-12)
     assert report.verdict == "pass"
@@ -271,11 +280,8 @@ def test_linear_condition_singular_normal_matrix():
 def test_certified_bound_is_exact_spectral_norm():
     # Recomputed vertex by vertex with an SVD and an LU-solved gain; an
     # iterative norm that stops early reports a bound below the true one.
-    three_entries = GenerationSpec(
-        lam_a=(0.3, 0.2, 0.1), lam_q=(1.0, 2.0, 3.0), lam_r=(1.0, 0.5), d=3, m=2,
-        noise=NoiseSpec(pattern=((0, 1), (1, 2), (2, 0)), bound=0.05))
     problems = [generate_problem(GenerationSpec.default(), seed=s) for s in range(20)]
-    problems.append(generate_problem(three_entries, seed=1))
+    problems.append(generate_problem(THREE_ENTRIES, seed=1))
 
     def top(m):
         return np.linalg.svd(m, compute_uv=False)[0]
@@ -308,15 +314,95 @@ def test_kernel_vertices_equal_perturbed_dynamics(pattern, bound):
         assert np.array_equal(vertex, problem.a + problem.noise.as_matrix(entries, 3))
 
 
+def _wide_noise_problem() -> MPCProblem:
+    """Seed 3's default instance with noise bound 0.5."""
+    spec = GenerationSpec.default()
+    spec = dataclasses.replace(spec, noise=NoiseSpec(pattern=spec.noise.pattern, bound=0.5))
+    return generate_problem(spec, seed=3)
+
+
 def test_sampled_contraction_dominated_by_analytic_bound():
-    # On generated instances the certified bound must dominate the sampled
-    # estimate of the actual closed loop.
-    for seed in range(5):
-        problem = generate_problem(GenerationSpec.default(), seed=seed)
-        analytic, sampled = check_problem(problem, seed=seed)
-        assert analytic.verdict == "pass"
-        assert sampled.verdict == "pass"
-        assert sampled.constants["lambda_hat"] <= analytic.constants["bound"] + 1e-9
+    # The sampled search on the vertex loop is a lower bound on the exact
+    # average-contraction constant, and gets within 1% of it; the exact
+    # constant in turn sits below the certified triangle bound.
+    problems = [generate_problem(GenerationSpec.default(), seed=s) for s in range(5)]
+    problems.append(generate_problem(THREE_ENTRIES, seed=1))
+    for problem in problems:
+        reports = check_problem(problem)
+        exact = reports["average_contraction"]
+        lam = exact.constants["lambda_hat"]
+        assert exact.label == "pass(certified)"
+        assert exact.sampling == {"extreme_points": 2 ** problem.noise.n_entries}
+        box = DomainBox.cube(-1.0, 2.0, problem.d)
+        sampled = check_average_contraction(extreme_noise_closed_loop_ifs(problem), box,
+                                            n_points=16, n_pairs=400)
+        assert sampled.constants["lambda_hat"] <= lam * (1 + 1e-12)
+        assert sampled.constants["lambda_hat"] == pytest.approx(lam, rel=1e-2)
+        for est, norm in zip(sampled.constants["map_lipschitz"],
+                             exact.constants["map_lipschitz"]):
+            assert est <= norm * (1 + 1e-12)
+        assert lam <= reports["linear_sufficient"].constants["bound"]
+
+
+def test_vertex_contraction_scalar_is_exact():
+    # |0.2 -+ 0.005 - 0.1|: the vertex maps contract by 0.095 and 0.105.
+    report = check_vertex_contraction(SCALAR)
+    assert report.constants["lambda_hat"] == pytest.approx(0.1, abs=1e-15)
+    assert report.constants["map_lipschitz"] == pytest.approx([0.095, 0.105], abs=1e-15)
+    assert report.witness == {"noise_entries": [0.005]}
+
+
+def test_saa_contraction_scalar_bound():
+    # K = (R + B'QB)^-1 B'Q = 1/2, and the worst |V_p - V_q / 2| is
+    # 0.205 - 0.195 / 2 = 0.1075.
+    np.testing.assert_allclose(SCALAR.gain, [[0.5]], rtol=0, atol=1e-15)
+    report = check_saa_contraction(SCALAR)
+    assert report.constants["bound"] == pytest.approx(0.1075, abs=1e-15)
+    assert report.label == "pass(certified)"
+    assert report.witness == {"plant_entries": [0.005], "mean_entries": [-0.005]}
+    assert report.sampling == {"vertex_pairs": 4}
+
+
+def _saa_gain(problem: MPCProblem, plant, mean) -> np.ndarray:
+    """||A + Xi_p - B K (A + Xi_bar)|| for each row pair of entry blocks."""
+    def vertex(e):
+        return problem.a + np.array([problem.noise.as_matrix(row, problem.d) for row in e])
+    m = vertex(plant) - problem.b @ problem.gain @ vertex(mean)
+    return np.linalg.norm(m, 2, axis=(1, 2))
+
+
+def test_saa_contraction_fails_where_the_triangle_bound_passes():
+    # The triangle bound leaves out B K Xi_bar, which the SAA step applies.
+    problem = _wide_noise_problem()
+    assert check_linear_sufficient_condition(problem).label == "pass(certified)"
+    report = check_saa_contraction(problem)
+    assert report.label == "fail(certified)"
+    bound = report.constants["bound"]
+    assert bound == pytest.approx(1.0032, abs=1e-4)
+    at_witness = _saa_gain(problem, [report.witness["plant_entries"]],
+                           [report.witness["mean_entries"]])
+    assert at_witness[0] == pytest.approx(bound, rel=1e-14)
+
+
+def test_saa_contraction_dominates_random_noise():
+    problem = _wide_noise_problem()
+    bound = check_saa_contraction(problem).constants["bound"]
+    rng = np.random.default_rng(0)
+    plant = problem.noise.sample_entries(rng, 10_000)
+    mean = problem.noise.sample_entries(rng, 10_000)
+    gains = _saa_gain(problem, plant, mean)
+    assert gains.max() <= bound
+    assert gains.max() > 0.9 * bound
+
+
+def test_saa_contraction_with_too_many_pairs_is_inconclusive():
+    pattern = tuple((r, c) for r in range(4) for c in range(4))[:11]
+    problem = MPCProblem(a=np.eye(4) * 0.5, b=np.eye(4), q=np.eye(4), r=np.eye(4),
+                         z=np.zeros(4), noise=NoiseSpec(pattern=pattern, bound=0.01))
+    report = check_saa_contraction(problem)
+    assert report.label == "inconclusive(certified)"
+    assert report.constants == {"bound": None} and report.witness is None
+    assert report.sampling == {"vertex_pairs": 4 ** 11}
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,16 @@ from ergodic_smpc import (GenerationSpec, closed_loop_fixed_point, generate_prob
 from ergodic_smpc.cli import main
 from ergodic_smpc.experiment import ExperimentConfig
 
-SMOKE_SEED_7_DIGEST = "4278da8ce487c638cc693eda453abca507c0102a743e035dabdf7632539113f9"
+SMOKE_SEED_7_DIGEST = "ee91f275eb16f4ad4b767c8d5f94a6a0a1deb5896ee2a6b6856eb1eb149ced57"
 # One trial at the default 10 000 steps: the SAA noise is drawn in blocks
 # of 1024 steps, which the 1000-step smoke run never crosses.
-TRIAL_SEED_7_DIGEST = "eb6782cc5663ecd2b8805674fd89aac18fdd32c0c25b18b61120e4a13d1d3b7c"
+TRIAL_SEED_7_DIGEST = "13f08728db5555e4437b8fe3bcc2ef67063d02de1226f1814a5f48797ebb13e8"
 # The other subcommands that write artifacts: the tree of ``ifs-demo
 # bernoulli --seed 4 --iters 5000`` and, on the problem of ``generate --seed
-# 4``, the tree of ``run --iters 2000 --seed 3`` and the file of ``check --seed 0``.
+# 4``, the tree of ``run --iters 2000 --seed 3`` and the file of ``check``.
 DEMO_SEED_4_DIGEST = "0459e81a7aa3db710c7c3dd35a9592ea11af7566f14ed7d3f92f153a9f358309"
 RUN_SEED_3_DIGEST = "7393b857608606e165f0c20baa9115d9451b80aefabd898e1117938aadfa085d"
-CHECK_SEED_0_DIGEST = "a45dfb61c688a3bf010d8f7143622ddc3e19bbb0287ce20f3994e0d360165414"
+CHECK_SEED_0_DIGEST = "99554282a34375dddcbc8587b051e31397cf8d7ffc508148169be612c97605e9"
 # ``ifs-demo bernoulli --seed 4`` at its default 100 000 steps: the
 # constant-probability walk draws its selections in ~98 blocks.
 DEMO_DEFAULT_SEED_4_DIGEST = "c903172cdbaff3c7cc928f2895f1fa5a3c54d0b66392fc5620aaa8578b2a86b6"
@@ -97,13 +97,13 @@ def test_run_matches_golden_digest(tmp_path, capsys):
 
 def test_check_matches_golden_digest_with_config_defaults(tmp_path, capsys):
     out = tmp_path / "conditions.json"
-    assert main(["check", str(_problem(tmp_path)), "--seed", "0", "--out", str(out)]) == 0
+    assert main(["check", str(_problem(tmp_path)), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CHECK_SEED_0_DIGEST
-    sampling = json.loads(out.read_text())["average_contraction"]["sampling"]
-    defaults = ExperimentConfig()
-    assert (sampling["n_points"], sampling["n_pairs"]) == (defaults.check_points,
-                                                           defaults.check_pairs)
+    # Two noise entries: the exact checks read the 4 vertices and 16 vertex pairs.
+    reports = json.loads(out.read_text())
+    assert reports["average_contraction"]["sampling"] == {"extreme_points": 4}
+    assert reports["saa_contraction"]["sampling"] == {"vertex_pairs": 16}
 
 
 def test_ensemble_matches_golden_digest():

@@ -457,8 +457,7 @@ def test_kernel_factors_normal_matrix_once(monkeypatch):
     problem = generate_problem(GenerationSpec.default(), seed=3)
     x_star = closed_loop_fixed_point(problem)
     simulate(smpc_closed_loop_ifs(problem, 20), x_star, 200, seed=0)
-    experiment.check_problem(
-        problem, 0, experiment.ExperimentConfig(check_points=16, check_pairs=20))
+    experiment.check_problem(problem)
     assert len(calls) == 1
 
 
