@@ -32,6 +32,7 @@ from .experiment import (
     emit_run_artifacts,
     run_experiment,
     simulate_and_report,
+    verdict_text,
 )
 from .ifs import DiscreteIFS, simulate
 from .smpc import GenerationSpec, MPCProblem, generate_problem
@@ -144,9 +145,8 @@ def cmd_reproduce_paper(args, parser: argparse.ArgumentParser) -> int:
     results = run_experiment(config, args.out, workers=args.workers)
     for res in results:
         if res.ok:
-            print(f"trial {res.trial_id}: analytic "
-                  f"{'pass' if res.analytic_pass else 'fail'}, average "
-                  f"{'pass' if res.average_pass else 'fail'}, "
+            print(f"trial {res.trial_id}: analytic {verdict_text(res.analytic_pass)}, "
+                  f"average {verdict_text(res.average_pass)}, "
                   f"{'stabilizing' if res.stabilizing else 'not-stabilizing'}, "
                   f"max last TV {max(res.tv_last):.4f}")
         else:

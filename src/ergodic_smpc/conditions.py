@@ -44,9 +44,9 @@ __all__ = [
 
 # Scale of the short-range perturbation pairs relative to the box diameter.
 _PERTURBATION_SCALE = 1e-4
-# Most noise entries k whose 4^k vertex pairs ``check_saa_contraction``
-# enumerates (2^20 pairs).
-_MAX_SAA_ENTRIES = 10
+# Most noise-box vertices whose pairs ``check_saa_contraction`` enumerates
+# (2^20 pairs, k = 10 noise entries).
+_MAX_SAA_VERTICES = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -364,15 +364,16 @@ def check_saa_contraction(problem: MPCProblem) -> ConditionReport:
     controller draws, which lies in the noise box too.  ||M|| is jointly
     convex in (Xi_p, Xi_bar), so its maximum over the box is attained at
     a pair of vertices, and enumerating the pairs makes the verdict
-    certified.  With more than 10 noise entries (2k > 20) the report is
-    inconclusive and nothing is enumerated.
+    certified.  With more than 2^10 distinct vertices (2^20 pairs) the
+    report is inconclusive and nothing is enumerated.
     """
-    k = problem.noise.n_entries
-    if k > _MAX_SAA_ENTRIES:
+    vertices = problem.vertices
+    n = len(vertices)
+    if n > _MAX_SAA_VERTICES:
         return ConditionReport(condition="saa_contraction", verdict="inconclusive",
                                basis="certified", constants={"bound": None}, witness=None,
-                               sampling={"vertex_pairs": 4 ** k})
-    entries, vertices = problem.noise.extreme_entries(), problem.vertices
+                               sampling={"vertex_pairs": n ** 2})
+    entries = problem.noise.extreme_entries()
     fed_back = problem.b @ problem.gain @ vertices
     # Row p holds ||V_p - B K V_q|| for every q.
     norms = np.stack([np.linalg.norm(v - fed_back, 2, axis=(1, 2)) for v in vertices])
@@ -385,7 +386,7 @@ def check_saa_contraction(problem: MPCProblem) -> ConditionReport:
         constants={"bound": bound},
         witness={"plant_entries": entries[plant].tolist(),
                  "mean_entries": entries[mean].tolist()},
-        sampling={"vertex_pairs": len(entries) ** 2},
+        sampling={"vertex_pairs": n ** 2},
     )
 
 

@@ -128,6 +128,8 @@ class TrialResult:
 
     ``analytic_pass`` and ``bound`` come from the ``saa_contraction``
     report, ``average_pass`` and ``lambda_hat`` from ``average_contraction``.
+    On a completed trial ``analytic_pass`` is ``None`` when that report is
+    inconclusive (too many vertex pairs to enumerate, no bound).
     """
 
     trial_id: int
@@ -143,6 +145,11 @@ class TrialResult:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+def verdict_text(passed: bool | None) -> str:
+    """``pass``/``fail`` for a completed trial's flag, ``inconclusive`` for None."""
+    return "inconclusive" if passed is None else "pass" if passed else "fail"
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -241,7 +248,7 @@ def run_trial(config: ExperimentConfig, trial_id: int, out_root) -> TrialResult:
         reports = check_problem(problem)
         atomic_write_text(trial_dir / "conditions.json", conditions_json(reports))
         saa, average = reports["saa_contraction"], reports["average_contraction"]
-        result.analytic_pass = saa.passed
+        result.analytic_pass = None if saa.verdict == "inconclusive" else saa.passed
         result.average_pass = average.passed
         result.bound = saa.constants["bound"]
         result.lambda_hat = average.constants["lambda_hat"]
@@ -262,8 +269,8 @@ def _write_summary_csv(path, results: list[TrialResult], d: int) -> None:
     for res in results:
         if res.ok:
             row = [str(res.trial_id), "ok",
-                   "pass" if res.analytic_pass else "fail",
-                   "pass" if res.average_pass else "fail",
+                   verdict_text(res.analytic_pass),
+                   verdict_text(res.average_pass),
                    "" if res.bound is None else format(res.bound, ".17g"),
                    format(res.lambda_hat, ".17g"),
                    "stabilizing" if res.stabilizing else "not-stabilizing"]

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import ergodic_smpc
-from ergodic_smpc import MPCProblem, read_histogram_csv, read_trajectory_csv
+from ergodic_smpc import MPCProblem, NoiseSpec, read_histogram_csv, read_trajectory_csv
 from ergodic_smpc.cli import build_parser, main
 from ergodic_smpc.conditions import ConditionReport
 from ergodic_smpc.ergodics import DiagnosticReport
 from ergodic_smpc.experiment import ExperimentConfig, run_experiment
+from ergodic_smpc.smpc import GenerationSpec
 
 
 def tree_hashes(root) -> dict:
@@ -298,6 +299,22 @@ def test_reproduce_summary_row_count(tmp_path):
                  "--seed", "1", "--out", str(out)]) == 0
     summary = (out / "summary.csv").read_text().splitlines()
     assert len(summary) == 4
+
+
+def test_inconclusive_saa_report_reads_inconclusive_in_summary(tmp_path):
+    # Eleven noise entries: 4^11 vertex pairs are too many to enumerate, so
+    # the analytic column says so rather than fail, and the bound is blank.
+    pattern = tuple((r, c) for r in range(4) for c in range(4))[:11]
+    spec = GenerationSpec(lam_a=(0.4, 0.3, 0.2, 0.1), lam_q=(1.0,) * 4, lam_r=(1.0,),
+                          d=4, m=1, noise=NoiseSpec(pattern=pattern, bound=0.001))
+    config = ExperimentConfig(n_trials=1, n_iterations=200, saa_samples=3, generation=spec)
+    out = tmp_path / "exp"
+    [res] = run_experiment(config, out)
+    assert res.ok and res.analytic_pass is None and res.average_pass
+    header, row = (out / "summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["analytic"] == "inconclusive" and cells["bound"] == ""
+    assert cells["average"] == "pass"
 
 
 def test_reproduce_flags_override_config_file(tmp_path):

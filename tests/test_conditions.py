@@ -324,7 +324,7 @@ def _wide_noise_problem() -> MPCProblem:
 def test_sampled_contraction_dominated_by_analytic_bound():
     # The sampled search on the vertex loop is a lower bound on the exact
     # average-contraction constant, and gets within 1% of it; the exact
-    # constant in turn sits below the certified triangle bound.
+    # constant in turn sits below the certified triangle bound, which passes.
     problems = [generate_problem(GenerationSpec.default(), seed=s) for s in range(5)]
     problems.append(generate_problem(THREE_ENTRIES, seed=1))
     for problem in problems:
@@ -341,7 +341,9 @@ def test_sampled_contraction_dominated_by_analytic_bound():
         for est, norm in zip(sampled.constants["map_lipschitz"],
                              exact.constants["map_lipschitz"]):
             assert est <= norm * (1 + 1e-12)
-        assert lam <= reports["linear_sufficient"].constants["bound"]
+        analytic = reports["linear_sufficient"]
+        assert analytic.verdict == "pass"
+        assert lam <= analytic.constants["bound"]
 
 
 def test_vertex_contraction_scalar_is_exact():
@@ -395,14 +397,25 @@ def test_saa_contraction_dominates_random_noise():
     assert gains.max() > 0.9 * bound
 
 
-def test_saa_contraction_with_too_many_pairs_is_inconclusive():
+def _eleven_entry_problem(bound: float) -> MPCProblem:
     pattern = tuple((r, c) for r in range(4) for c in range(4))[:11]
-    problem = MPCProblem(a=np.eye(4) * 0.5, b=np.eye(4), q=np.eye(4), r=np.eye(4),
-                         z=np.zeros(4), noise=NoiseSpec(pattern=pattern, bound=0.01))
-    report = check_saa_contraction(problem)
+    return MPCProblem(a=np.eye(4) * 0.5, b=np.eye(4), q=np.eye(4), r=np.eye(4),
+                      z=np.zeros(4), noise=NoiseSpec(pattern=pattern, bound=bound))
+
+
+def test_saa_contraction_with_too_many_pairs_is_inconclusive():
+    report = check_saa_contraction(_eleven_entry_problem(0.01))
     assert report.label == "inconclusive(certified)"
     assert report.constants == {"bound": None} and report.witness is None
     assert report.sampling == {"vertex_pairs": 4 ** 11}
+
+
+def test_saa_contraction_counts_the_deduplicated_vertices():
+    # With h = 0 the 2^11 vertices collapse to A itself: one pair, M = A - B K A.
+    report = check_saa_contraction(_eleven_entry_problem(0.0))
+    assert report.label == "pass(certified)"
+    assert report.constants["bound"] == pytest.approx(0.25, abs=1e-15)
+    assert report.sampling == {"vertex_pairs": 1}
 
 
 # ---------------------------------------------------------------------------
