@@ -6,8 +6,9 @@ multi-trial experiment), ifs-demo (reference IFS runs with known
 invariant measures).  The seed resolves as flag > config file > the
 ERGODIC_SMPC_SEED environment variable > 0; check draws nothing and takes
 no seed.  Every other run parameter resolves as flag > config file > the
-``ExperimentConfig`` field named by the flag's ``dest``.  A bad value or input file exits 2 before any work starts;
-a run that diverges exits 1 with one ``<subcommand> aborted: ...`` line.
+``ExperimentConfig`` field named by the flag's ``dest``.  A bad value or
+input file exits 2 before any work starts; a run that diverges exits 1 with
+one ``<subcommand> aborted: ...`` line.
 """
 
 from __future__ import annotations

@@ -126,10 +126,9 @@ class ExperimentConfig:
 class TrialResult:
     """Per-trial outcome: condition verdicts, the diagnostic, or the error.
 
-    ``analytic_pass`` and ``bound`` come from the ``saa_contraction``
-    report, ``average_pass`` and ``lambda_hat`` from ``average_contraction``.
-    On a completed trial ``analytic_pass`` is ``None`` when that report is
-    inconclusive (too many vertex pairs to enumerate, no bound).
+    ``analytic_pass`` (``None`` if inconclusive) and ``bound`` come from
+    ``saa_contraction``, ``average_pass`` and ``lambda_hat`` from
+    ``average_contraction``.
     """
 
     trial_id: int
@@ -220,10 +219,8 @@ def simulate_and_report(problem: MPCProblem, out_dir, config: ExperimentConfig,
 
 
 def check_problem(problem: MPCProblem) -> dict[str, ConditionReport]:
-    """The certified contraction reports of ``conditions.json``, by key.
-
-    ``linear_sufficient`` and ``average_contraction`` cover the
-    exact-control loop, ``saa_contraction`` the simulated SAA loop.
+    """The certified reports of ``conditions.json`` by key: ``saa_contraction``
+    covers the simulated SAA loop, the other two the exact-control loop.
     """
     return {"linear_sufficient": check_linear_sufficient_condition(problem),
             "average_contraction": check_vertex_contraction(problem),
@@ -269,8 +266,7 @@ def _write_summary_csv(path, results: list[TrialResult], d: int) -> None:
     for res in results:
         if res.ok:
             row = [str(res.trial_id), "ok",
-                   verdict_text(res.analytic_pass),
-                   verdict_text(res.average_pass),
+                   verdict_text(res.analytic_pass), verdict_text(res.average_pass),
                    "" if res.bound is None else format(res.bound, ".17g"),
                    format(res.lambda_hat, ".17g"),
                    "stabilizing" if res.stabilizing else "not-stabilizing"]
