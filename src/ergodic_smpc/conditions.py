@@ -313,13 +313,13 @@ def check_linear_sufficient_condition(problem: MPCProblem) -> ConditionReport:
     worst ||A + Xi|| over the entrywise noise box is attained at a vertex
     because the norm is convex in the noise entries, making the verdict
     certified rather than sampled.  The spectral norms are exact (SVD) of
-    ``problem.vertices`` and of B K A with ``problem.gain``, which raises
+    ``problem.vertices`` and of B K A with ``problem.feedback``, which raises
     ``SingularNormalMatrixError`` when R + B'QB is singular.
     """
     norms = np.linalg.norm(problem.vertices, 2, axis=(1, 2))
     worst = int(np.argmax(norms))
     worst_dynamics = float(norms[worst])
-    feedback_norm = float(np.linalg.norm(problem.b @ problem.gain @ problem.a, 2))
+    feedback_norm = float(np.linalg.norm(problem.feedback @ problem.a, 2))
     bound = worst_dynamics + feedback_norm
     return ConditionReport(
         condition="linear_sufficient_contraction",
@@ -337,12 +337,14 @@ def check_vertex_contraction(problem: MPCProblem) -> ConditionReport:
 
     That loop applies x -> V_v x + B K (z - A x), V_v = A + Xi_v, with
     uniform weights over the 2^k vertices, so its average-contraction
-    constant is exactly mean_v ||V_v - B K A||, one batched spectral norm
-    (SVD) of ``problem.vertices``.  ``check_average_contraction`` of
+    constant is exactly mean_v ||M0 + Xi_v||, M0 = A - B K A: one batched
+    spectral norm (SVD) of ``problem.step_matrices`` at the vertices with
+    mean entries 0.  ``check_average_contraction`` of
     ``extreme_noise_closed_loop_ifs`` estimates the same constant from
     below by sampling.
     """
-    norms = np.linalg.norm(problem.vertices - problem.b @ problem.gain @ problem.a, 2,
+    entries = np.array(problem.noise.extreme_entries())
+    norms = np.linalg.norm(problem.step_matrices(entries, np.zeros_like(entries)), 2,
                            axis=(1, 2))
     lam = float(norms.mean())
     worst = int(np.argmax(norms))
@@ -351,7 +353,7 @@ def check_vertex_contraction(problem: MPCProblem) -> ConditionReport:
         verdict="pass" if lam < 1.0 else "fail",
         basis="certified",
         constants={"lambda_hat": lam, "map_lipschitz": norms.tolist()},
-        witness={"noise_entries": problem.noise.extreme_entries()[worst].tolist()},
+        witness={"noise_entries": entries[worst].tolist()},
         sampling={"extreme_points": len(norms)},
     )
 
@@ -359,24 +361,24 @@ def check_vertex_contraction(problem: MPCProblem) -> ConditionReport:
 def check_saa_contraction(problem: MPCProblem) -> ConditionReport:
     """Worst one-step gain of the simulated SAA loop over every noise outcome.
 
-    The SAA step is x -> M x + B K z with M = V_p - B K V_q: V_p = A + Xi_p
-    carries the plant draw and V_q = A + Xi_bar the mean of the J
-    controller draws, which lies in the noise box too.  ||M|| is jointly
-    convex in (Xi_p, Xi_bar), so its maximum over the box is attained at
-    a pair of vertices, and enumerating the pairs makes the verdict
-    certified.  With more than 2^10 distinct vertices (2^20 pairs) the
-    report is inconclusive and nothing is enumerated.
+    The SAA step is x -> M x + B K z with M = ``problem.step_matrices(plant
+    entries, mean entries)``, the matrix the simulator steps: the plant
+    draw Xi_p and the mean Xi_bar of the J controller draws, which lies
+    in the noise box too.  ||M|| is jointly convex in (Xi_p, Xi_bar), so
+    its maximum over the box is attained at a pair of vertices, and
+    enumerating the pairs makes the verdict certified.  With more than
+    2^10 distinct vertices (2^20 pairs) the report is inconclusive and
+    nothing is enumerated.
     """
-    vertices = problem.vertices
-    n = len(vertices)
+    entries = np.array(problem.noise.extreme_entries())
+    n = len(entries)
     if n > _MAX_SAA_VERTICES:
         return ConditionReport(condition="saa_contraction", verdict="inconclusive",
                                basis="certified", constants={"bound": None}, witness=None,
                                sampling={"vertex_pairs": n ** 2})
-    entries = problem.noise.extreme_entries()
-    fed_back = problem.b @ problem.gain @ vertices
-    # Row p holds ||V_p - B K V_q|| for every q.
-    norms = np.stack([np.linalg.norm(v - fed_back, 2, axis=(1, 2)) for v in vertices])
+    # Row p holds ||M|| for plant entries p and every mean entry row q.
+    norms = np.stack([np.linalg.norm(problem.step_matrices(plant, entries), 2, axis=(1, 2))
+                      for plant in entries])
     plant, mean = np.unravel_index(int(np.argmax(norms)), norms.shape)
     bound = float(norms[plant, mean])
     return ConditionReport(

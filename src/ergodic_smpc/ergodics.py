@@ -40,6 +40,9 @@ __all__ = [
 
 # Half-width of the single bin used when a dimension has zero spread.
 _DEGENERATE_HALF_WIDTH = 1e-12
+# Values indexed per block by ``_running_counts``, which bounds the index
+# arithmetic's temporaries however many values are binned.
+_BIN_BLOCK = 16384
 
 
 def _states_array(traj) -> np.ndarray:
@@ -117,7 +120,20 @@ def _running_counts(values: np.ndarray, edges: np.ndarray, ends) -> np.ndarray:
     values are binned, by the rule ``histogram_from_samples`` states.
     """
     n_bins = len(edges) - 1
-    index = np.searchsorted(edges[1:-1], values[:ends[-1]], side="right")
+    values = values[:ends[-1]]
+    index = np.zeros(len(values), dtype=np.intp)
+    if n_bins > 1:  # one bin, zero-spread ones included, takes every value
+        # np.histogram's index: arithmetic on the values clipped onto the
+        # range, then moved by one where rounding crossed an edge; a value
+        # below the range stays in bin 0.
+        lo, hi = edges[0], edges[-1]
+        for start in range(0, len(values), _BIN_BLOCK):
+            v = values[start:start + _BIN_BLOCK]
+            idx = ((np.clip(v, lo, hi) - lo) / (hi - lo) * n_bins).astype(np.intp)
+            idx[idx == n_bins] -= 1
+            idx[(v < edges[idx]) & (idx > 0)] -= 1
+            idx[(v >= edges[1:][idx]) & (idx < n_bins - 1)] += 1
+            index[start:start + _BIN_BLOCK] = idx
     segment = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
     return np.bincount(segment * n_bins + index, minlength=len(ends) * n_bins
                        ).reshape(len(ends), n_bins).cumsum(axis=0)

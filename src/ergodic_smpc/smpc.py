@@ -14,11 +14,18 @@ control set with the regularized mixed strategy as a discrete IFS.
 ``R + B'QB`` does not depend on the state, so each problem checks and
 Cholesky-factors it once and keeps the gain K = (R + B'QB)^-1 B'Q
 (``MPCProblem.gain``).  Every control is then the affine expression
-K (z - A_hat x), with A_hat = A for the exact controller and A + mean of
-the draws for the SAA controller; the closed-loop adapters, the fixed
-point and the certified contraction bound all read the same K.  Whole SAA
-trajectories, of one particle or a stack, run with the noise drawn in
-blocks of steps (``_saa_path``).
+K (z - A_hat x), with A_hat = A for the exact controller and A + Xi_bar,
+the mean of the J draws, for the SAA controller.  The SAA closed loop is
+therefore the affine random recursion
+
+    x_{n+1} = M_n x_n + c,   M_n = M0 + Xi_p - BK Xi_bar,
+
+with M0 = A - BKA and c = BKz kept per problem (``loop_matrix``,
+``loop_offset``) and M_n built from the noise entries by
+``MPCProblem.step_matrices``.  The stepping map, the whole-path kernel
+(``_saa_path``, which builds M_n a block of steps at a time), the fixed
+point (I - M0)^-1 c and the certified SAA contraction bound all read
+those matrices.
 """
 
 from __future__ import annotations
@@ -211,13 +218,55 @@ class MPCProblem:
         return k_gain
 
     @cached_property
+    def feedback(self) -> np.ndarray:
+        """BK: a control K(z - A_hat x) moves the next state by BK(z - A_hat x)."""
+        bk = self.b @ self.gain
+        bk.setflags(write=False)
+        return bk
+
+    @cached_property
+    def loop_matrix(self) -> np.ndarray:
+        """M0 = A - BKA, the closed-loop step matrix at zero noise."""
+        m0 = self.a - self.feedback @ self.a
+        m0.setflags(write=False)
+        return m0
+
+    @cached_property
+    def loop_offset(self) -> np.ndarray:
+        """c = BKz, the offset of every closed-loop step x' = M x + c."""
+        c = self.feedback @ self.z
+        c.setflags(write=False)
+        return c
+
+    def step_matrices(self, plant, mean) -> np.ndarray:
+        """SAA step matrices M = M0 + sum_e plant_e E_e - sum_e mean_e BK E_e.
+
+        ``plant`` and ``mean`` are (..., k) noise entries that broadcast
+        together; E_e is the unit matrix at the pattern's position e.  The
+        result is (..., d, d), built by element-wise updates in a fixed
+        order, so each matrix has the same bits in a block as alone.
+        """
+        plant = np.asarray(plant, dtype=float)
+        mean = np.asarray(mean, dtype=float)
+        out = np.empty(np.broadcast_shapes(plant.shape[:-1], mean.shape[:-1])
+                       + (self.d, self.d))
+        out[...] = self.loop_matrix
+        for e, (r, c) in enumerate(self.noise.pattern):
+            out[..., r, c] += plant[..., e]
+            out[..., :, c] -= mean[..., e, None] * self.feedback[:, r]
+        return out
+
+    @cached_property
     def vertices(self) -> np.ndarray:
         """A + Xi at every vertex of the noise box, as one (2^k, d, d) stack.
 
         Row i is ``A + noise.as_matrix(noise.extreme_entries()[i], d)`` bit
         for bit.
         """
-        stack = _perturbed(self, np.array(self.noise.extreme_entries()))
+        entries = np.array(self.noise.extreme_entries())
+        stack = np.zeros((len(entries), self.d, self.d))
+        stack[(Ellipsis,) + self.noise.index] = entries
+        stack += self.a
         stack.setflags(write=False)
         return stack
 
@@ -366,17 +415,13 @@ def generate_problem(spec: GenerationSpec, seed: int | None = None) -> MPCProble
     return MPCProblem(a=a, b=b, q=q, r=r, z=z, noise=spec.noise)
 
 
-def _perturbed(problem: MPCProblem, entries: np.ndarray) -> np.ndarray:
-    """A + Xi for each row of an (..., k) entry block, as one (..., d, d) array."""
-    out = np.zeros(entries.shape[:-1] + (problem.d, problem.d))
-    out[(Ellipsis,) + problem.noise.index] = entries
-    out += problem.a
-    return out
+def _draw_mean(draws: np.ndarray) -> np.ndarray:
+    """Mean over the J axis of (..., J, k) noise draws.
 
-
-def _saa_control(problem: MPCProblem, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    a_bar = problem.a + problem.noise.as_matrix(draws.mean(axis=0), problem.d)
-    return problem.gain @ (problem.z - a_bar @ x)
+    One reduction over J, then a division by J, so a block of steps gets
+    the same bits as each step alone (the tests pin k = 0 to 3 entries).
+    """
+    return np.einsum("...jk->...k", draws) / draws.shape[-2]
 
 
 def _saa_path(problem: MPCProblem, xs, n_steps: int, j_samples: int,
@@ -384,13 +429,15 @@ def _saa_path(problem: MPCProblem, xs, n_steps: int, j_samples: int,
     """States (n_steps + 1, P, d) of the SAA loop from each row of xs (P, d).
 
     Particle p draws from ``rngs[p]``.  The draws come in time blocks of
-    c = max(1, ``_SAA_BLOCK`` // P) steps.  A block allocates one
-    (P, c, J + 1, k) tile and fills it with one ``sample_entries`` call
+    w = max(1, ``_SAA_BLOCK`` // P) steps.  A block allocates one
+    (P, w, J + 1, k) tile and fills it with one ``sample_entries`` call
     per particle, which is the draw sequence of stepping, so each
-    generator ends where stepping leaves it.
-    The per-step arithmetic is that of ``_saa_control`` followed by the
-    plant update, on a stack of (d, 1) columns, so row p is bit-identical
-    to stepping ``smpc_closed_loop_ifs`` from xs[p] with ``rngs[p]``.
+    generator ends where stepping leaves it.  The block's mean and plant
+    entries are taken from the tile, the tile is freed, and the entries
+    become the block's step matrices M_n (``MPCProblem.step_matrices``).
+    Each step is then one x <- M_n x + c on a stack of (d, 1) columns, so
+    row p is bit-identical to stepping ``smpc_closed_loop_ifs`` from
+    xs[p] with ``rngs[p]``.
     Once every particle holds a non-finite state the run stops; the rows
     after that block are NaN.
     """
@@ -411,31 +458,32 @@ def _saa_path(problem: MPCProblem, xs, n_steps: int, j_samples: int,
     lead, col = ((n_parts,), (1,)) if n_parts > 1 else ((), ())
     rows = states.reshape((n_steps + 1,) + lead + (d,) + col)
     x = rows[0]
-    k_gain, z, b = problem.gain, problem.z.reshape((d,) + col), problem.b
+    offset = problem.loop_offset.reshape((d,) + col)
     # Past a blow-up the remaining steps only propagate inf and NaN; the
     # caller reports each particle's first bad state.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, block):
-            c = min(block, n_steps - start)
+            width = min(block, n_steps - start)
             if n_parts == 1:  # a lone path's draws are its tile, uncopied
-                tile = problem.noise.sample_entries(rngs[0], c * n_draws)
+                tile = problem.noise.sample_entries(rngs[0], width * n_draws)
             else:
-                tile = np.empty((n_parts, c * n_draws, k))
+                tile = np.empty((n_parts, width * n_draws, k))
                 for p, rng in enumerate(rngs):
-                    tile[p] = problem.noise.sample_entries(rng, c * n_draws)
-            tile = tile.reshape(n_parts, c, n_draws, k)
+                    tile[p] = problem.noise.sample_entries(rng, width * n_draws)
+            tile = tile.reshape(n_parts, width, n_draws, k)
             # Time-major entries, so step i reads one contiguous (P, d, d) slab.
-            shape = (c,) + lead + (k,)
-            bar = tile[:, :, :-1].mean(axis=2).swapaxes(0, 1).reshape(shape)
+            shape = (width,) + lead + (k,)
+            mean = _draw_mean(tile[:, :, :-1]).swapaxes(0, 1).reshape(shape)
             plant = tile[:, :, -1].swapaxes(0, 1).reshape(shape).copy()
-            # The tile is the kernel's largest array: free it before the stacks.
+            # The tile is the kernel's largest array: free it before the
+            # step matrices and the next block's draws.
             del tile
-            a_bar, a_plant = _perturbed(problem, bar), _perturbed(problem, plant)
-            for i in range(c):
-                x = a_plant[i] @ x + b @ (k_gain @ (z - a_bar[i] @ x))
+            mats = problem.step_matrices(plant, mean)
+            for i in range(width):
+                x = mats[i] @ x + offset
                 rows[start + i + 1] = x
-            if not np.isfinite(states[start + 1:start + c + 1]).all(axis=(0, 2)).any():
-                states[start + c + 1:] = np.nan
+            if not np.isfinite(states[start + 1:start + width + 1]).all(axis=(0, 2)).any():
+                states[start + width + 1:] = np.nan
                 break
     return states
 
@@ -453,7 +501,8 @@ def saa_control_from_draws(problem: MPCProblem, x, saa_entries) -> np.ndarray:
     if entries.shape[1] != problem.noise.n_entries:
         raise ValueError(
             f"expected draws with {problem.noise.n_entries} entries per row")
-    return _saa_control(problem, x, entries)
+    a_bar = problem.a + problem.noise.as_matrix(_draw_mean(entries), problem.d)
+    return problem.gain @ (problem.z - a_bar @ x)
 
 
 def _apply_plant(problem: MPCProblem, x: np.ndarray, u: np.ndarray,
@@ -486,13 +535,11 @@ def expected_cost(problem: MPCProblem, x, u) -> float:
 
 
 def closed_loop_fixed_point(problem: MPCProblem) -> np.ndarray:
-    """Fixed point of the noise-free exact-control closed loop."""
-    k_gain = problem.gain
-    m_cl = problem.a - problem.b @ (k_gain @ problem.a)
-    lhs = np.eye(problem.d) - m_cl
+    """Fixed point (I - M0)^-1 c of the noise-free closed loop x' = M0 x + c."""
+    lhs = np.eye(problem.d) - problem.loop_matrix
     if np.linalg.cond(lhs) > _COND_LIMIT:
         raise SingularNormalMatrixError("closed loop has no unique fixed point")
-    return np.linalg.solve(lhs, problem.b @ (k_gain @ problem.z))
+    return np.linalg.solve(lhs, problem.loop_offset)
 
 
 def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
@@ -501,11 +548,13 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
     The parameter of one step bundles all of its randomness in one
     (J + 1, k) block of noise draws: the first J rows feed the
     sample-average controller and the last row is the plant draw.
-    Stepping the adapter is draw-for-draw identical to drawing J entries
-    for ``saa_control_from_draws`` and then calling ``plant_step`` with
-    the same generator.
+    Stepping the adapter draws as drawing J entries for
+    ``saa_control_from_draws`` and then calling ``plant_step`` with the
+    same generator.  A step is x' = M x + c with M =
+    ``problem.step_matrices(plant draw, mean of the J draws)`` and
+    c = BKz, which is the SAA control followed by the plant update.
     Its ``advance`` runs stacks of whole paths through ``_saa_path``,
-    which gives the same states as stepping.
+    which gives the same states as stepping, bit for bit.
     """
     check_integer("j_samples", j_samples, 1)
 
@@ -514,7 +563,7 @@ def smpc_closed_loop_ifs(problem: MPCProblem, j_samples: int) -> ContinuousIFS:
 
     def apply(t, x):
         x = as_state(x, problem.d)
-        return _apply_plant(problem, x, _saa_control(problem, x, t[:-1]), t[-1])
+        return problem.step_matrices(t[-1], _draw_mean(t[:-1])) @ x + problem.loop_offset
 
     def advance(xs, n_steps, rngs):
         return _saa_path(problem, xs, n_steps, j_samples, rngs)

@@ -24,6 +24,7 @@ from ergodic_smpc import (
     extreme_noise_closed_loop_ifs,
     generate_problem,
     make_rng,
+    smpc_closed_loop_ifs,
 )
 from ergodic_smpc.experiment import check_problem
 from ergodic_smpc.ifs import ContinuousIFS
@@ -365,12 +366,16 @@ def test_saa_contraction_scalar_bound():
     assert report.sampling == {"vertex_pairs": 4}
 
 
-def _saa_gain(problem: MPCProblem, plant, mean) -> np.ndarray:
-    """||A + Xi_p - B K (A + Xi_bar)|| for each row pair of entry blocks."""
+def _saa_matrix(problem: MPCProblem, plant, mean) -> np.ndarray:
+    """A + Xi_p - B K (A + Xi_bar) for each row pair of entry blocks."""
     def vertex(e):
         return problem.a + np.array([problem.noise.as_matrix(row, problem.d) for row in e])
-    m = vertex(plant) - problem.b @ problem.gain @ vertex(mean)
-    return np.linalg.norm(m, 2, axis=(1, 2))
+    return vertex(plant) - problem.b @ problem.gain @ vertex(mean)
+
+
+def _saa_gain(problem: MPCProblem, plant, mean) -> np.ndarray:
+    """||A + Xi_p - B K (A + Xi_bar)|| for each row pair of entry blocks."""
+    return np.linalg.norm(_saa_matrix(problem, plant, mean), 2, axis=(1, 2))
 
 
 def test_saa_contraction_fails_where_the_triangle_bound_passes():
@@ -384,6 +389,25 @@ def test_saa_contraction_fails_where_the_triangle_bound_passes():
     at_witness = _saa_gain(problem, [report.witness["plant_entries"]],
                            [report.witness["mean_entries"]])
     assert at_witness[0] == pytest.approx(bound, rel=1e-14)
+
+
+@pytest.mark.parametrize("problem", [_wide_noise_problem(), generate_problem(THREE_ENTRIES)],
+                         ids=["wide-noise", "three-entries"])
+def test_saa_certificate_bounds_the_matrix_the_simulator_steps(problem):
+    # One SAA step with J = 1 whose draw is the witness mean, then the
+    # witness plant draw: the stepping map applies exactly the builder's
+    # matrix, and the certified bound is that matrix's norm.
+    report = check_saa_contraction(problem)
+    plant = np.array(report.witness["plant_entries"])
+    mean = np.array(report.witness["mean_entries"])
+    m = problem.step_matrices(plant, mean)
+    x = np.linspace(-1.0, 1.0, problem.d)
+    stepped = smpc_closed_loop_ifs(problem, 1).map(np.stack([mean, plant]), x)
+    assert np.array_equal(stepped, m @ x + problem.loop_offset)
+    assert np.linalg.norm(m, 2) == report.constants["bound"]
+    # The builder's matrix is A + Xi_p - B K (A + Xi_bar), to rounding.
+    expected = _saa_matrix(problem, plant[None], mean[None])[0]
+    np.testing.assert_allclose(m, expected, rtol=0, atol=1e-15)
 
 
 def test_saa_contraction_dominates_random_noise():

@@ -229,15 +229,19 @@ def test_closed_loop_zero_noise_is_deterministic_map():
 
 
 def test_closed_loop_adapter_matches_manual_loop(four_state_problem):
+    # The manual loop applies the control, then the plant; the adapter
+    # applies x' = M x + c.  The two orders of arithmetic agree to rounding
+    # (the kernel-vs-stepping tests below pin the adapter's bits).
     ifs = smpc_closed_loop_ifs(four_state_problem, 20)
     traj = simulate(ifs, np.zeros(4), 3, seed=42)
+    atol = 1e-15 * np.abs(traj.states).max()
     rng = make_rng(42)
     x = np.zeros(4)
     for k in range(3):
         u = saa_control_from_draws(four_state_problem, x,
                                    four_state_problem.noise.sample_entries(rng, 20))
         x = plant_step(four_state_problem, x, u, rng)
-        assert np.array_equal(traj.states[k + 1], x)
+        np.testing.assert_allclose(traj.states[k + 1], x, rtol=0, atol=atol)
 
 
 def test_closed_loop_long_run_bounded(four_state_problem):
@@ -361,6 +365,31 @@ def test_stacked_advance_matches_stepping_across_time_blocks(d, j_samples):
         rng_step = make_rng(3, p)
         assert np.array_equal(states[:, p], _stepped_states(loop, x0, 70, rng_step))
         # Each generator ends where stepping leaves it.
+        assert rngs[p].random() == rng_step.random()
+
+
+# Noise patterns of k = 0 to 3 entries on the 4-state recipe.  At k = 3 two
+# entries share column 1, so the order of the builder's column updates counts.
+PATTERNS = {0: (), 1: ((0, 1),), 2: ((0, 1), (2, 2)), 3: ((0, 1), (2, 1), (2, 2))}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+@pytest.mark.parametrize("j_samples", [1, 100])
+@pytest.mark.parametrize("k", sorted(PATTERNS))
+def test_kernel_matches_stepping_for_each_noise_count(k, j_samples, stacked):
+    spec = dataclasses.replace(GenerationSpec.default(),
+                               noise=NoiseSpec(pattern=PATTERNS[k], bound=0.05))
+    problem = generate_problem(spec, seed=3)
+    loop = smpc_closed_loop_ifs(problem, j_samples)
+    if stacked:  # 50 particles step 20 per time block: 70 steps cross three block ends
+        xs, n_steps = make_rng(1).uniform(-1.0, 1.0, (50, 4)), 70
+    else:
+        xs, n_steps = closed_loop_fixed_point(problem)[None] + 0.1, BOUNDARY_STEPS
+    rngs = [make_rng(3, p) for p in range(len(xs))]
+    states = loop.advance(xs, n_steps, rngs)
+    for p, x0 in enumerate(xs):
+        rng_step = make_rng(3, p)
+        assert np.array_equal(states[:, p], _stepped_states(loop, x0, n_steps, rng_step))
         assert rngs[p].random() == rng_step.random()
 
 
