@@ -159,14 +159,12 @@ def cmd_reproduce_paper(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _bernoulli_ifs() -> tuple[DiscreteIFS, np.ndarray]:
-    ifs = DiscreteIFS(maps=(lambda x: x / 2, lambda x: (x + 1) / 2),
-                      probs=np.array([0.5, 0.5]))
+    ifs = DiscreteIFS.affine([[[0.5]], [[0.5]]], [[0.0], [0.5]], [0.5, 0.5])
     return ifs, np.array([0.0])
 
 
 def _cantor_ifs() -> tuple[DiscreteIFS, np.ndarray]:
-    ifs = DiscreteIFS(maps=(lambda x: x / 3, lambda x: (x + 2) / 3),
-                      probs=np.array([0.5, 0.5]))
+    ifs = DiscreteIFS.affine([[[1 / 3]], [[1 / 3]]], [[0.0], [2 / 3]], [0.5, 0.5])
     return ifs, np.array([0.0])
 
 
@@ -177,17 +175,13 @@ DEMOS = {
 
 
 def _load_ifs_file(data: dict) -> tuple[DiscreteIFS, np.ndarray]:
-    """Affine IFS description (matrix/offset maps, constant probs), checked at x0."""
-    def make_map(matrix, offset):
-        matrix = np.asarray(matrix, dtype=float)
-        offset = np.asarray(offset, dtype=float)
-        return lambda x: matrix @ x + offset
-
-    maps = tuple(make_map(m["matrix"], m["offset"]) for m in data["maps"])
-    ifs = DiscreteIFS(maps=maps, probs=data["probs"])
-    dim = len(data["maps"][0]["offset"])
+    """Affine IFS description (matrix/offset maps, constant probs) and its x0."""
+    maps = data["maps"]
+    ifs = DiscreteIFS.affine([m["matrix"] for m in maps], [m["offset"] for m in maps],
+                             data["probs"])
+    dim = len(maps[0]["offset"])
     x0 = np.asarray(data.get("x0", [0.0] * dim), dtype=float)
-    if any(np.shape(f(x0)) != x0.shape for f in maps):
+    if x0.shape != (dim,):
         raise ValueError(f"every map must keep the state's dimension {x0.shape}")
     return ifs, x0
 

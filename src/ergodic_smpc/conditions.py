@@ -370,12 +370,12 @@ def check_saa_contraction(problem: MPCProblem) -> ConditionReport:
     2^10 distinct vertices (2^20 pairs) the report is inconclusive and
     nothing is enumerated.
     """
-    entries = np.array(problem.noise.extreme_entries())
-    n = len(entries)
+    n = problem.noise.n_vertices
     if n > _MAX_SAA_VERTICES:
         return ConditionReport(condition="saa_contraction", verdict="inconclusive",
                                basis="certified", constants={"bound": None}, witness=None,
                                sampling={"vertex_pairs": n ** 2})
+    entries = np.array(problem.noise.extreme_entries())
     # Row p holds ||M|| for plant entries p and every mean entry row q.
     norms = np.stack([np.linalg.norm(problem.step_matrices(plant, entries), 2, axis=(1, 2))
                       for plant in entries])

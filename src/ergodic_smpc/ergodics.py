@@ -38,7 +38,8 @@ __all__ = [
     "read_histogram_csv",
 ]
 
-# Half-width of the single bin used when a dimension has zero spread.
+# Half-width of the single bin used when a dimension has zero spread, relative
+# to max(1, |value|) so that both edges stay apart from a large value.
 _DEGENERATE_HALF_WIDTH = 1e-12
 # Values indexed per block by ``_running_counts``, which bounds the index
 # arithmetic's temporaries however many values are binned.
@@ -144,7 +145,8 @@ def histogram_from_samples(samples, n_bins: int = 10, range_=None) -> EmpiricalM
 
     Values equal to an interior edge land in the bin to their right; the
     range maximum lands in the last bin.  A dimension with zero spread
-    collapses to a single bin of width 2e-12 centred on the value.
+    collapses to a single bin of width 2e-12 max(1, |value|) centred on
+    the value.
     Samples outside an explicit range are clipped onto it so no mass is
     dropped.
     """
@@ -173,7 +175,7 @@ def windowed_measures(traj, windows: Sequence[tuple[int, int]], n_bins: int = 10
         if not (0 <= start < end <= n):
             raise ValueError(f"empty or out-of-range window ({start}, {end})")
     edges = tuple(np.linspace(lo, hi, n_bins + 1) if hi > lo
-                  else np.array([lo - _DEGENERATE_HALF_WIDTH, lo + _DEGENERATE_HALF_WIDTH])
+                  else lo + np.array([-1.0, 1.0]) * _DEGENERATE_HALF_WIDTH * max(1.0, abs(lo))
                   for lo, hi in _resolve_ranges(states, range_))
     cuts = sorted({0}.union(*windows))
     at = {c: i for i, c in enumerate(cuts)}

@@ -7,9 +7,11 @@ parameter is drawn from a state-dependent distribution.  One walk steps
 both, drawing a discrete system's selections a block at a time, with
 the results of stepping one draw at a time; a continuous IFS may also
 supply ``advance``, a whole-path kernel that gives the states of that
-stepping for a stack of particles in one call.  All randomness flows through explicitly keyed
-generators, so trajectories and particle ensembles are bit-reproducible
-and independent of scheduling order.
+stepping for a stack of particles in one call.  An affine discrete IFS,
+built by ``DiscreteIFS.affine``, is held as data and stepped a block at
+a time in one fixed order of float operations.  All randomness flows
+through explicitly keyed generators, so trajectories and particle
+ensembles are bit-reproducible and independent of scheduling order.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ class DiscreteIFS:
     that do not depend on the state: it is then checked once, here, and
     the attribute becomes ``lambda x: vector``.  Maps are either pure
     transformations ``S(x)`` or noise-carrying transformations
-    ``S(x, rng)`` drawing from the step generator.
+    ``S(x, rng)`` drawing from the step generator.  ``DiscreteIFS.affine``
+    builds the affine maps x -> A_i x + b_i from their matrices and offsets.
     """
 
     maps: tuple[Callable, ...]
@@ -123,6 +126,37 @@ class DiscreteIFS:
             cdf = _cdf(_checked_probs(given, len(maps), None))
             object.__setattr__(self, "probs", lambda x: given)
         object.__setattr__(self, "_vector_cdf", cdf)
+        object.__setattr__(self, "_affine", None)
+
+    @classmethod
+    def affine(cls, matrices, offsets, probs) -> "DiscreteIFS":
+        """The IFS of the maps x -> A_i x + b_i, selected with constant probabilities.
+
+        ``matrices`` (n, d, d), ``offsets`` (n, d) and the vector ``probs``
+        (n,) are checked here.  Map i computes each entry as
+        ``((A_r0 x_0 + A_r1 x_1) + ...) + b_r`` in Python floats, the
+        arithmetic with which the walk steps the system a block at a time,
+        so its bits do not depend on the BLAS library.
+        """
+        try:
+            a = np.array(matrices, dtype=float)
+            b = np.array(offsets, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("affine maps need numeric matrices (n, d, d) and "
+                             "offsets (n, d)") from None
+        n, d = b.shape if b.ndim == 2 else (0, 0)
+        if n < 1 or d < 1 or a.shape != (n, d, d):
+            raise ValueError(f"affine maps need matrices (n, d, d) and offsets (n, d), "
+                             f"got shapes {a.shape} and {b.shape}")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("affine maps need finite matrices and offsets")
+        if callable(probs):
+            raise TypeError("an affine IFS takes a constant probability vector")
+        data = (tuple(tuple(map(tuple, m)) for m in a.tolist()),
+                tuple(map(tuple, b.tolist())))
+        ifs = cls(maps=tuple(_affine_map(m, o) for m, o in zip(*data)), probs=probs)
+        object.__setattr__(ifs, "_affine", data)
+        return ifs
 
     @property
     def n_maps(self) -> int:
@@ -176,6 +210,39 @@ class ContinuousIFS:
             raise InvalidProbabilityError(
                 f"density at {x} integrates to {total!r}, not 1 within {tol}")
         return float(total)
+
+
+def _affine_steps(matrices: tuple, offsets: tuple, x: list, selections) -> list:
+    """The states after each selected map i, x <- A_i x + b_i, as lists of floats.
+
+    Entry r is ``((A_r0 x_0 + A_r1 x_1) + ...) + b_r``: IEEE double
+    operations in this order, with no BLAS call and no compensated sum,
+    so the result has the same bits on every machine.
+    """
+    rest = range(1, len(x))
+    out = []
+    for i in selections:
+        a, b = matrices[i], offsets[i]
+        y = []
+        for r, row in enumerate(a):
+            acc = row[0] * x[0]
+            for j in rest:
+                acc = acc + row[j] * x[j]
+            y.append(acc + b[r])
+        out.append(y)
+        x = y
+    return out
+
+
+def _affine_map(matrix: tuple, offset: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> matrix x + offset for a (d,) state, by ``_affine_steps``'s arithmetic."""
+    def apply(x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (len(offset),):
+            raise ValueError(f"state has shape {x.shape}, expected ({len(offset)},)")
+        return np.array(_affine_steps((matrix,), (offset,), x.tolist(), (0,))[0])
+
+    return apply
 
 
 @dataclass
@@ -326,9 +393,11 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
     IFS none of whose maps draws from the generator, one step otherwise.
     A discrete block draws its selection uniforms in one call, the numbers
     one draw per step gives; a probability vector selects the block with
-    one search, a callable ``probs`` selects at each step.  A step that
-    raises or changes the state's shape first screens the rows before it,
-    so every failure is the error of stepping one at a time.
+    one search, a callable ``probs`` selects at each step.  An affine IFS
+    steps the block's selections with ``_affine_steps``, its maps'
+    arithmetic.  A step that raises or changes the state's shape first
+    screens the rows before it, so every failure is the error of stepping
+    one at a time.
     """
     if isinstance(ifs, ContinuousIFS) and ifs.advance is not None:
         return _advance(ifs, x[None], n_steps, [rng], divergence_bound)[:, 0], None
@@ -338,6 +407,9 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
     block = _WALK_BLOCK if discrete and not any(ifs._rng_aware) else 1
     cum = ifs._vector_cdf if block > 1 else None
     d = x.size
+    affine = ifs._affine if discrete else None
+    if affine is not None and len(affine[1][0]) != d:
+        affine = None  # the maps step, and reject, a state of another dimension
     states = np.empty((n_steps + 1, d))
     states[0] = x
     selections: list = []
@@ -354,7 +426,15 @@ def _walk(ifs, x: np.ndarray, n_steps: int, rng: np.random.Generator,
             # A continuous block is one step, which draws its own parameter.
             u = 1.0 - rng.random(stop - start) if discrete else [None]
             if cum is not None:
-                selections.extend(np.searchsorted(cum, u, side="left").tolist())
+                chosen = np.searchsorted(cum, u, side="left").tolist()
+                selections.extend(chosen)
+            if affine is not None:
+                # Python floats overflow to inf and NaN without raising; the
+                # screen below reports the first such row.
+                states[start + 1:stop + 1] = _affine_steps(*affine, states[start].tolist(),
+                                                           chosen)
+                _screen_rows(states, start, stop, divergence_bound, label)
+                continue
             for k in range(start, stop):
                 try:
                     if cum is not None:
@@ -437,6 +517,8 @@ def run_ensemble(ifs, initial_measure, n_steps: int, seed: int,
 
 
 def _choice_text(sel) -> str:
+    if type(sel) is int:  # the walk's selections; bools take the path below
+        return str(sel)
     if isinstance(sel, (int, np.integer)):
         return str(int(sel))
     if isinstance(sel, (float, np.floating)):

@@ -121,6 +121,11 @@ class NoiseSpec:
         xi[self.index] = entries
         return xi
 
+    @property
+    def n_vertices(self) -> int:
+        """The number of distinct vertices of the noise box, counted without building them."""
+        return 1 if self.bound == 0 or self.n_entries == 0 else 2 ** self.n_entries
+
     def extreme_entries(self) -> list[np.ndarray]:
         """Vertices of the entrywise noise box (deduplicated when h = 0)."""
         if self.n_entries == 0:

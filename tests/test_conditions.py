@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,30 @@ def test_saa_contraction_with_too_many_pairs_is_inconclusive():
     assert report.label == "inconclusive(certified)"
     assert report.constants == {"bound": None} and report.witness is None
     assert report.sampling == {"vertex_pairs": 4 ** 11}
+
+
+def test_saa_contraction_counts_vertices_before_building_them():
+    # 2^16 vertex arrays would take tens of MB before the limit applies.
+    pattern = tuple((r, c) for r in range(4) for c in range(4))
+    problem = MPCProblem(a=np.eye(4) * 0.5, b=np.eye(4), q=np.eye(4), r=np.eye(4),
+                         z=np.zeros(4), noise=NoiseSpec(pattern=pattern, bound=0.01))
+    tracemalloc.start()
+    try:
+        report = check_saa_contraction(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.label == "inconclusive(certified)"
+    assert report.sampling == {"vertex_pairs": 4 ** 16}
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("pattern, bound", [((), 0.5), (((0, 0),), 0.0), (((0, 0),), 0.5),
+                                            (((0, 0), (1, 1), (0, 1)), 0.0),
+                                            (((0, 0), (1, 1), (0, 1)), 0.5)])
+def test_noise_vertex_count_matches_the_enumeration(pattern, bound):
+    noise = NoiseSpec(pattern=pattern, bound=bound)
+    assert noise.n_vertices == len(noise.extreme_entries())
 
 
 def test_saa_contraction_counts_the_deduplicated_vertices():

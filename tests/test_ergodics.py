@@ -49,8 +49,22 @@ def test_histogram_constant_trajectory_degenerate_bin():
     assert m.n_bins == (1,)
     assert m.proportions[0][0] == 1.0
     lo, hi = m.edges[0]
-    assert hi - lo == pytest.approx(2e-12, rel=1e-6)
+    # The bin is 2e-12 max(1, |value|) wide.
+    assert hi - lo == pytest.approx(2.5 * 2e-12, rel=1e-6)
     assert (lo + hi) / 2 == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("value", [1e5, -3e7, 1e300])
+def test_zero_spread_bin_at_a_large_value(value):
+    # An absolute half-width of 1e-12 rounds onto any |value| of 16384 or more.
+    m = histogram_from_samples(np.full((5, 1), value))
+    lo, hi = m.edges[0]
+    assert lo < value < hi
+    assert np.array_equal(m.proportions[0], [1.0])
+    report = stationarity_diagnostic(np.column_stack([np.full(400, value),
+                                                      np.tile([0.0, 1.0], 200)]))
+    assert report.verdict == "stabilizing"
+    assert np.all(report.distances[:, 0] == 0.0)
 
 
 def test_histogram_mass_conserved_with_explicit_range():

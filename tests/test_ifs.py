@@ -25,6 +25,7 @@ from ergodic_smpc import (
     step_discrete,
     write_trajectory_csv,
 )
+from ergodic_smpc import ifs as ifs_module
 from ergodic_smpc.ifs import _CSV_BLOCK, _WALK_BLOCK, _walk, evaluate_probs
 from ergodic_smpc.rng import make_rng
 
@@ -653,3 +654,158 @@ def test_vector_probs_stays_callable_and_unnormalized():
     given = ifs.probs(np.array([3.0]))
     assert np.array_equal(given, [0.5 + drift, 0.5]) and not given.flags.writeable
     assert abs(evaluate_probs(ifs, np.array([0.0])).sum() - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# affine IFS held as data
+# ---------------------------------------------------------------------------
+
+def _affine_system(d, p):
+    rng = np.random.default_rng(10 * d + len(p))
+    matrices = rng.uniform(-1.0, 1.0, size=(len(p), d, d)) * (0.9 / d)
+    return DiscreteIFS.affine(matrices, rng.uniform(-1.0, 1.0, size=(len(p), d)), p)
+
+
+def _recording_rngs(monkeypatch):
+    """The generators that ``ifs`` makes from here on, in order."""
+    made = []
+
+    def record(*key):
+        made.append(make_rng(*key))
+        return made[-1]
+
+    monkeypatch.setattr(ifs_module, "make_rng", record)
+    return made
+
+
+def _step_discrete_path(system, x0, n, rng):
+    x, states, sels = as_state(x0), [as_state(x0)], []
+    for _ in range(n):
+        x, index = step_discrete(system, x, rng)
+        states.append(x)
+        sels.append(index)
+    return np.array(states), sels
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [[1.0], [0.35, 0.65], [0.5, 0.0, 0.5]])
+def test_affine_walk_matches_its_maps(monkeypatch, d, p):
+    system = _affine_system(d, p)
+    # As the benchmark's tracer rebuilds it: the derived maps, stepped one at a time.
+    rebuilt = DiscreteIFS(maps=system.maps, probs=lambda x: np.array(p))
+    x0 = np.linspace(-0.5, 0.5, d)
+    end_state = make_rng(3)
+    expected, expected_sels = _step_discrete_path(system, x0, _BOUNDARY_STEPS, end_state)
+    assert 0.0 not in p or p.index(0.0) not in expected_sels
+    for walked in (system, rebuilt):
+        made = _recording_rngs(monkeypatch)
+        traj = simulate(walked, x0, _BOUNDARY_STEPS, seed=3)
+        assert np.array_equal(traj.states, expected)
+        assert traj.selections == expected_sels
+        assert all(type(s) is int for s in traj.selections)
+        assert made[0].bit_generator.state == end_state.bit_generator.state
+    particles = [x0, -x0, x0 / 2]
+    finals, ends = [], []
+    for i, x in enumerate(particles):
+        rng = make_rng(5, i)
+        finals.append(_step_discrete_path(system, x, _BOUNDARY_STEPS, rng)[0][-1])
+        ends.append(rng.bit_generator.state)
+    for walked in (system, rebuilt):
+        made = _recording_rngs(monkeypatch)
+        captured = []
+        monkeypatch.setattr(ifs_module, "histogram_from_samples",
+                            lambda samples, **kw: captured.append(samples.copy()))
+        run_ensemble(walked, particles, _BOUNDARY_STEPS, seed=5)
+        assert np.array_equal(captured[0], finals)
+        assert [rng.bit_generator.state for rng in made] == ends
+
+
+def _ordered_path(matrices, offsets, x, sels):
+    """The states of x <- A x + b with each entry written out in the walk's order."""
+    states = [list(x)]
+    for i in sels:
+        a, b = matrices[i], offsets[i]
+        if len(x) == 2:
+            x = [(a[r][0] * x[0] + a[r][1] * x[1]) + b[r] for r in range(2)]
+        else:
+            x = [((a[r][0] * x[0] + a[r][1] * x[1]) + a[r][2] * x[2]) + b[r]
+                 for r in range(3)]
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_affine_walk_takes_the_ordered_sum(d):
+    p = [0.35, 0.65]
+    rng = np.random.default_rng(40 + d)
+    matrices = rng.uniform(-1.0, 1.0, size=(2, d, d)) * (0.9 / d)
+    offsets = rng.uniform(-1.0, 1.0, size=(2, d))
+    x0 = np.linspace(-0.5, 0.5, d)
+    traj = simulate(DiscreteIFS.affine(matrices, offsets, p), x0, _BOUNDARY_STEPS, seed=6)
+    expected = _ordered_path(matrices.tolist(), offsets.tolist(), x0.tolist(),
+                             traj.selections)
+    assert np.array_equal(traj.states, expected)
+    # The data are sensitive to the order: adding the offset first moves the bits.
+    other = [x0.tolist()]
+    for i in traj.selections:
+        a, b, x = matrices[i].tolist(), offsets[i].tolist(), other[-1]
+        y = list(b)
+        for r in range(d):
+            for j in range(d):
+                y[r] = y[r] + a[r][j] * x[j]
+        other.append(y)
+    assert not np.array_equal(traj.states, np.array(other))
+
+
+def test_data_built_bernoulli_equals_the_halving_maps():
+    halving = DiscreteIFS(maps=(lambda x: x / 2, lambda x: (x + 1) / 2),
+                          probs=np.array([0.5, 0.5]))
+    data = DiscreteIFS.affine([[[0.5]], [[0.5]]], [[0.0], [0.5]], [0.5, 0.5])
+    old, new = (simulate(s, [0.0], 100_000, seed=4) for s in (halving, data))
+    assert np.array_equal(old.states, new.states)
+    assert old.selections == new.selections
+
+
+@pytest.mark.parametrize("matrix, offset, x0, bound, text", [
+    ([[3.0]], [1.0], [0.0], 1e12,
+     "step 25: state norm 1.270933e+12 exceeded divergence bound 1.000000e+12"),
+    ([[1e200]], [0.0], [1e200], np.inf,
+     "step 0: map 0 produced non-finite output at [1.e+200]"),
+    ([[1e200, 0.0], [0.0, 1.0]], [0.0, -np.finfo(float).max], [1e200, -1e308], np.inf,
+     "step 0: map 0 produced non-finite output at [ 1.e+200 -1.e+308]"),
+])
+def test_affine_walk_fails_as_its_maps(matrix, offset, x0, bound, text):
+    system = DiscreteIFS.affine([matrix], [offset], [1.0])
+    rebuilt = DiscreteIFS(maps=system.maps, probs=lambda x: np.array([1.0]))
+    for walked in (system, rebuilt):
+        assert _error_of(lambda: simulate(walked, x0, 200, seed=0, divergence_bound=bound)) \
+            == (NumericalBlowupError, text)
+        assert _error_of(lambda: run_ensemble(walked, [np.array(x0)] * 2, 200, seed=0,
+                                              divergence_bound=bound)) \
+            == (NumericalBlowupError, f"particle 0, {text}")
+
+
+@pytest.mark.parametrize("matrices, offsets, probs, kind, text", [
+    ([[0.5]], [[0.0]], [1.0], ValueError, r"got shapes \(1, 1\) and \(1, 1\)$"),
+    ([[[0.5, 0.0]]], [[0.0]], [1.0], ValueError, r"got shapes \(1, 1, 2\) and \(1, 1\)$"),
+    ([[[0.5]], [[0.5, 1.0]]], [[0.0], [0.5]], [0.5, 0.5], ValueError, "need numeric"),
+    ([], [], [], ValueError, r"got shapes \(0,\) and \(0,\)$"),
+    ([[[np.nan]]], [[0.0]], [1.0], ValueError, "need finite"),
+    ([[[0.5]]], [[np.inf]], [1.0], ValueError, "need finite"),
+    ([[["a"]]], [[0.0]], [1.0], ValueError, "need numeric"),
+    ([[[0.5]]], [[0.0]], lambda x: np.array([1.0]), TypeError, "constant probability"),
+    ([[[0.5]]] * 2, [[0.0]] * 2, [0.25, 0.25], InvalidProbabilityError, "sum to 0.5"),
+    ([[[0.5]]] * 2, [[0.0]] * 2, [1.0], InvalidProbabilityError, "1 entries for 2 maps"),
+])
+def test_affine_constructor_checks_its_data(matrices, offsets, probs, kind, text):
+    with pytest.raises(kind, match=text):
+        DiscreteIFS.affine(matrices, offsets, probs)
+
+
+def test_affine_maps_check_the_state_dimension():
+    system = DiscreteIFS.affine([[[0.5, 0.0], [0.0, 0.5]]], [[0.0, 0.0]], [1.0])
+    with pytest.raises(ValueError, match=r"^state has shape \(1,\), expected \(2,\)$"):
+        system.maps[0](np.zeros(1))
+    with pytest.raises(ValueError, match=r"^state has shape \(1,\), expected \(2,\)$"):
+        simulate(system, [0.0], 5, seed=0)
+    assert simulate(system, [0.0], 0, seed=0).states.shape == (1, 1)
